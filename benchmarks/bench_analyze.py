@@ -14,9 +14,7 @@ Two entry points share one measurement core:
   absolute noise floor so sub-50 ms analyzers can't trip the guard on
   scheduler jitter.
 
-simeffect, simcost and simbatch are whole-program (one call-graph
-fixpoint over the tree); the other three are per-file.  All are timed
-over ``src/repro``.
+All three analyzers are per-file and are timed over ``src/repro``.
 """
 
 from __future__ import annotations
@@ -53,55 +51,10 @@ def _simflow() -> int:
     return len(analyze_paths(ANALYZE_PATHS))
 
 
-def _simeffect() -> int:
-    from repro.analysis.simeffect.engine import analyze_paths
-
-    return len(analyze_paths(ANALYZE_PATHS))
-
-
-def _simeffect_report() -> int:
-    from repro.analysis.simeffect.engine import report_for_paths
-
-    report = report_for_paths(ANALYZE_PATHS)
-    return int(report["summary"]["annotated"])
-
-
-def _simcost() -> int:
-    from repro.analysis.simcost.engine import analyze_paths
-
-    return len(analyze_paths(ANALYZE_PATHS))
-
-
-def _simcost_report() -> int:
-    from repro.analysis.simcost.engine import report_for_paths
-
-    report = report_for_paths(ANALYZE_PATHS)
-    return int(report["summary"]["entry_points"])
-
-
-def _simbatch() -> int:
-    from repro.analysis.simbatch.engine import analyze_paths
-
-    return len(analyze_paths(ANALYZE_PATHS))
-
-
-def _simbatch_report() -> int:
-    from repro.analysis.simbatch.engine import report_for_paths
-
-    report = report_for_paths(ANALYZE_PATHS)
-    return int(report["summary"]["loops"])
-
-
 ANALYZERS: Tuple[Tuple[str, Callable[[], int]], ...] = (
     ("simlint", _simlint),
     ("simrace", _simrace),
     ("simflow", _simflow),
-    ("simeffect", _simeffect),
-    ("simeffect_report", _simeffect_report),
-    ("simcost", _simcost),
-    ("simcost_report", _simcost_report),
-    ("simbatch", _simbatch),
-    ("simbatch_report", _simbatch_report),
 )
 
 #: Per-analyzer slowdown budget for ``--check`` (new > 2x old fails).
@@ -139,30 +92,6 @@ def test_bench_simrace(once):
 
 def test_bench_simflow(once):
     assert once(_simflow) == 0
-
-
-def test_bench_simeffect(once):
-    assert once(_simeffect) == 0
-
-
-def test_bench_simeffect_report(once):
-    assert once(_simeffect_report) > 0
-
-
-def test_bench_simcost(once):
-    assert once(_simcost) == 0
-
-
-def test_bench_simcost_report(once):
-    assert once(_simcost_report) > 0
-
-
-def test_bench_simbatch(once):
-    assert once(_simbatch) == 0
-
-
-def test_bench_simbatch_report(once):
-    assert once(_simbatch_report) > 0
 
 
 # --------------------------------------------------------------------------

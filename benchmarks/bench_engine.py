@@ -18,10 +18,10 @@ Cells and what they exercise:
   thin-delegation path (inlined translation kernels + direct
   ``_access_page``) dominates.
 * ``fig10`` — graph analytics: mixed DRAM/SSD with promotions, so the
-  fused DRAM path and the ORDER_DEPENDENT settle hooks both run hot.
+  fused DRAM path and the order-dependent settle hooks both run hot.
 * ``fig14`` — OLTP on MiniDB: *not* engine-accelerated — the DES
   workers feed each access latency back into the scheduler, making
-  global order loop-carried (see BATCH.json) — timed here so the cost
+  global order loop-carried — timed here so the cost
   of leaving it scalar stays visible.
 
 Usage::

@@ -8,7 +8,7 @@ Usage::
     python -m repro all [output.md]     # everything -> EXPERIMENTS.md (serial)
     python -m repro sweep [output.md]   # everything, parallel + cached
     python -m repro race [--seeds N]    # schedule-perturbation check
-    python -m repro analyze [paths]     # simlint/simrace/simflow/simeffect/simcost
+    python -m repro analyze [paths]     # simlint/simrace/simflow
     python -m repro faults [--smoke]    # deterministic fault-injection campaign
 """
 
@@ -105,10 +105,7 @@ def main(argv=None) -> int:
 
     analyze_parser = subparsers.add_parser(
         "analyze",
-        help=(
-            "run simlint + simrace + simflow + simeffect + simcost and "
-            "merge the findings"
-        ),
+        help="run simlint + simrace + simflow and merge the findings",
     )
     analyze.configure_parser(analyze_parser)
 

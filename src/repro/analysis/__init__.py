@@ -2,10 +2,7 @@
 
 These are *runtime* paper-metric helpers (Table 1/Table 3 math over
 measured runs).  The static-analysis families live in sub-packages of
-their own: simlint, simrace, simflow, simeffect, simcost, simbatch.  In
-particular :class:`DollarCostModel` here prices hardware in dollars,
-while ``repro.analysis.simcost.model.CostModel`` accounts simulated
-latency — two different models that deliberately no longer share a name.
+their own: simlint, simrace, simflow.
 """
 
 from repro.analysis.cost import DollarCostModel, cost_effectiveness

@@ -1,12 +1,10 @@
-"""Umbrella runner: simlint + simrace + simflow + simeffect + simcost + simbatch.
+"""Umbrella runner: simlint + simrace + simflow.
 
-``python -m repro analyze [paths]`` runs all six static-analysis
+``python -m repro analyze [paths]`` runs all three static-analysis
 families over the same file set and merges their findings into a single
 report (or, with ``--json``, a single findings document in the shared
 schema of :mod:`repro.analysis.findings`, with each finding carrying a
-``tool`` field).  The first three tools are per-file; simeffect,
-simcost, and simbatch are whole-program — each parses the entire file
-set into one call graph before its rules fire.
+``tool`` field).  Every tool analyzes one file at a time.
 
 Exit status: 0 when clean, 1 when any tool found anything, and 2 when a
 tool *crashed* on a file — a crash means that file was never actually
@@ -18,8 +16,8 @@ longer shields a finding is reported as ``SUP001``, keeping dead
 markers from accumulating.
 
 The merged document is also a valid ``--baseline`` snapshot: rule codes
-are disjoint across tools (SL/SR/SF/SE/SC/SB), so one baseline file can
-cover all six analyses at once.
+are disjoint across tools (SL/SR/SF), so one baseline file can cover
+all three analyses at once.
 """
 
 from __future__ import annotations
@@ -41,9 +39,6 @@ from repro.analysis.findings import (
     strip_suppression_comments,
     unused_suppressions,
 )
-from repro.analysis.simbatch.engine import analyze_sources as _batch_sources
-from repro.analysis.simcost.engine import analyze_sources as _cost_sources
-from repro.analysis.simeffect.engine import analyze_sources as _effect_sources
 from repro.analysis.simflow.engine import analyze_file as _flow_file
 from repro.analysis.simflow.engine import analyze_source as _flow_source
 from repro.analysis.simlint.engine import lint_file as _lint_file
@@ -63,13 +58,6 @@ SOURCE_TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
     ("simlint", _lint_source),
     ("simrace", _race_source),
     ("simflow", _flow_source),
-)
-
-#: Whole-program tools run once over the full file set, in report order.
-PROGRAM_TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simeffect", _effect_sources),
-    ("simcost", _cost_sources),
-    ("simbatch", _batch_sources),
 )
 
 
@@ -116,19 +104,6 @@ def run_all(
             except Exception as error:  # pragma: no cover - exercised via tests
                 crashes.append(Crash(tool, str(path), error))
         per_tool[tool] = violations
-    try:
-        sources = [(str(path), _read(path)) for path in files]
-    except Exception as error:
-        for tool, _ in PROGRAM_TOOLS:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            per_tool[tool] = []
-        return per_tool, len(files), crashes
-    for tool, analyze_sources in PROGRAM_TOOLS:
-        try:
-            per_tool[tool] = analyze_sources(sources)
-        except Exception as error:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            per_tool[tool] = []
     return per_tool, len(files), crashes
 
 
@@ -154,24 +129,6 @@ def check_suppressions(paths: Sequence[str]) -> Tuple[List[Violation], List[Cras
             except Exception as error:  # pragma: no cover - exercised via tests
                 crashes.append(Crash(tool, path_str, error))
                 continue
-            for violation in unused_suppressions(path_str, lines, tool, raw):
-                stale.append(
-                    Violation(
-                        violation.path,
-                        violation.line,
-                        violation.col,
-                        violation.code,
-                        f"[{tool}] {violation.message}",
-                    )
-                )
-    for tool, analyze_sources in PROGRAM_TOOLS:
-        try:
-            raw = analyze_sources(sources, apply_suppressions=False)
-        except Exception as error:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            continue
-        for (path_str, source) in sources:
-            lines = source.splitlines()
             for violation in unused_suppressions(path_str, lines, tool, raw):
                 stale.append(
                     Violation(
@@ -293,10 +250,7 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.analyze",
-        description=(
-            "Run simlint + simrace + simflow + simeffect + simcost + "
-            "simbatch and merge their findings."
-        ),
+        description="Run simlint + simrace + simflow and merge their findings.",
     )
     configure_parser(parser)
     return run(parser.parse_args(argv))

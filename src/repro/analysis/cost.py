@@ -11,11 +11,6 @@ report
 
 i.e. normalized performance per dollar.  Values above 1.0 mean FlatFlash
 gives more performance per dollar than provisioning DRAM for everything.
-
-Naming note: this is the paper's *economic* model (dollars per gigabyte),
-not to be confused with the static-analysis ``CostModel`` in
-:mod:`repro.analysis.simcost.model`, which accounts simulated *latency*
-charges.  The class here is ``DollarCostModel`` to keep the two apart.
 """
 
 from __future__ import annotations
@@ -30,11 +25,7 @@ DRAM_ONLY_BASE_COST = 1_500.0  # extra DIMM-slot server cost
 
 @dataclass
 class DollarCostModel:
-    """Prices a hybrid (DRAM+SSD) and a DRAM-only configuration.
-
-    Dollars, not nanoseconds: the simulated-latency accounting model of
-    the same name lives in :mod:`repro.analysis.simcost.model`.
-    """
+    """Prices a hybrid (DRAM+SSD) and a DRAM-only configuration."""
 
     dram_dollars_per_gb: float = DRAM_DOLLARS_PER_GB
     ssd_dollars_per_gb: float = SSD_DOLLARS_PER_GB

@@ -7,11 +7,6 @@ whose lines were barely used, and byte-granular persistence avoids
 journaling/COW write amplification.  The improvement factor reported in
 Table 1 is simply ``programs(baseline) / programs(flatflash)`` for the
 same workload.
-
-Naming note: like :mod:`repro.analysis.cost`, this is a *runtime* paper-
-metric helper reading counters off a finished run — not part of the
-static-analysis families (simlint/simrace/simflow/simeffect/simcost/
-simbatch), which never execute the simulator.
 """
 
 from __future__ import annotations

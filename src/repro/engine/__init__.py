@@ -7,11 +7,11 @@ Two phases behind the existing hierarchy API:
    points in :mod:`repro.workloads`), with numpy doing the address
    arithmetic that the scalar generators do per access.
 2. **Replay** — :func:`replay` interprets the trace with a fused fast
-   path for DRAM-resident single-page accesses (inlining exactly the
-   EFFECTS.json-certified kernels, batching their COSTS.json-proven
-   commutative stat updates) and delegates everything else to the
-   unmodified scalar path; the fallback boundary is derived from
-   BATCH.json's ORDER_DEPENDENT classifications.
+   path for DRAM-resident single-page accesses (inlining four tiny
+   translation kernels and batching their commutative stat updates) and
+   delegates everything else to the unmodified scalar path; the
+   kernels and the delegated boundaries are listed in
+   :mod:`repro.engine.replay`.
 
 Selection is per-cell via ``FlatFlashConfig.engine``; results are
 byte-identical either way (tests/test_engine_equivalence.py and the
@@ -19,7 +19,6 @@ sweep byte-identity gate enforce it).  See docs/engine.md.
 """
 
 from repro.engine.guards import engine_enabled, fused_blockers, fused_supported
-from repro.engine.kernels import DELEGATED_ORDER_DEPENDENT, KERNELS, KernelSpec
 from repro.engine.trace import OP_LOAD, OP_STORE, TRACE_DTYPE, AccessTrace
 from repro.engine.replay import ReplayResult, replay, replay_enabled
 
@@ -34,7 +33,4 @@ __all__ = [
     "engine_enabled",
     "fused_blockers",
     "fused_supported",
-    "KERNELS",
-    "KernelSpec",
-    "DELEGATED_ORDER_DEPENDENT",
 ]

@@ -1,107 +1,29 @@
-"""Eligibility guards for the fused replay path, derived from the oracles.
+"""Eligibility guards for the fused replay path.
 
 The replay interpreter (:mod:`repro.engine.replay`) only fuses the
 DRAM-resident fast path — TLB probe, page-table walk, frame touch — and
-delegates every other access to the unmodified scalar hierarchy.  That
-boundary is not asserted by hand: it is derived from the static oracles
-PRs 6–8 committed at the repo root:
+delegates every other access to the unmodified scalar hierarchy (its
+module docstring lists the inlined kernels and the delegated
+boundaries).  The fused code re-implements the scalar semantics of the
+stock classes only, so :func:`fused_blockers` refuses any system whose
+access methods, TLB, page table or DRAM model differ from them.
 
-* ``EFFECTS.json`` certifies which functions are kernel-eligible (pure
-  or commutative-stats only).  The fused path may inline exactly those
-  (see :mod:`repro.engine.kernels`).
-* ``COSTS.json`` proves each kernel's counter increments and returned
-  latency per execution path; the batched stat flushes must match.
-* ``BATCH.json`` classifies loops; anything the scalar access path
-  reaches that is ``ORDER_DEPENDENT`` (promotion start/settle, PLB line
-  state machines, remap drains, DES interaction) forces delegation.
-
-:func:`fused_blockers` additionally checks *dynamic* preconditions the
-static analysis assumes: no race detector shadowing field writes, no
-domain-tag checking (the fused path skips the no-op checks), no clock
-sanitizer or armed power-loss deadline (the fused path batches clock
-advances), and no sequential-prefetch stream detection (a per-access
-hook on the scalar path).  When any blocker is present the engine falls
-back to replaying the whole trace through ``system._access`` — slower,
-never wrong.
+It also checks *dynamic* preconditions: no race detector shadowing
+field writes, no domain-tag checking (the fused path skips the no-op
+checks), no clock sanitizer or armed power-loss deadline (the fused path
+batches clock advances), and no sequential-prefetch stream detection (a
+per-access hook on the scalar path).  When any blocker is present the
+engine falls back to replaying the whole trace through
+``system._access`` — slower, never wrong.  Exactness of the fused path
+itself is enforced by the differential suite in
+``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import json
-from functools import lru_cache
-from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.sim import domain_tags, race
-
-#: Root-level oracle reports (regenerated by ``make reports``).
-ORACLE_FILES = ("EFFECTS.json", "COSTS.json", "BATCH.json")
-
-
-def repo_root() -> Path:
-    """The repository root (directory holding the oracle reports)."""
-    path = Path(__file__).resolve()
-    for parent in path.parents:
-        if (parent / "EFFECTS.json").exists():
-            return parent
-    raise FileNotFoundError(
-        "EFFECTS.json not found above repro.engine; run `make reports`"
-    )
-
-
-@lru_cache(maxsize=None)
-def load_oracle(name: str) -> Dict[str, Any]:
-    """Load one committed oracle report by file name (cached)."""
-    if name not in ORACLE_FILES:
-        raise ValueError(f"unknown oracle {name!r}; expected one of {ORACLE_FILES}")
-    with open(repo_root() / name, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def certified_functions() -> List[str]:
-    """EFFECTS.json's kernel-eligible qualnames."""
-    return list(load_oracle("EFFECTS.json")["certified"])
-
-
-def cost_entry(qualname: str) -> Dict[str, Any]:
-    """COSTS.json's entry point for ``qualname`` (KeyError if absent)."""
-    for entry in load_oracle("COSTS.json")["entry_points"]:
-        if entry["function"] == qualname:
-            return entry
-    raise KeyError(f"{qualname} has no COSTS.json entry point")
-
-
-def loop_classifications(qualname: str) -> List[str]:
-    """BATCH.json classifications of every loop inside ``qualname``."""
-    return [
-        loop["classification"]
-        for loop in load_oracle("BATCH.json")["loops"]
-        if loop["function"] == qualname
-    ]
-
-
-def order_dependent_functions() -> List[str]:
-    """Qualnames containing at least one ORDER_DEPENDENT loop."""
-    return sorted(
-        {
-            loop["function"]
-            for loop in load_oracle("BATCH.json")["loops"]
-            if loop["classification"] == "ORDER_DEPENDENT"
-        }
-    )
-
-
-def batch_region(qualname: str) -> Dict[str, Any]:
-    """BATCH.json's certified batchable region named ``qualname``."""
-    for region in load_oracle("BATCH.json")["regions"]:
-        if region["function"] == qualname:
-            return region
-    raise KeyError(f"{qualname} has no BATCH.json region")
-
-
-# --------------------------------------------------------------------- #
-# Dynamic fused-mode preconditions
-# --------------------------------------------------------------------- #
 
 
 def fused_blockers(system: Any) -> List[str]:
@@ -126,8 +48,8 @@ def fused_blockers(system: Any) -> List[str]:
     cls = type(system)
 
     # The fused path re-implements _access/_access_page DRAM-hit
-    # semantics; any override (subclass or monkeypatched mutant) is a
-    # site the oracles never certified.
+    # semantics; any override (subclass or monkeypatched mutant) is code
+    # the fused path would silently skip.
     known_access_pages = (
         FlatFlash.__dict__.get("_access_page"),
         PagingMemorySystem.__dict__.get("_access_page"),

@@ -6,32 +6,49 @@ against a live memory system with semantics byte-identical to issuing
 Python call tower for the common case.  The dispatch rule per row:
 
 * **Fused** — the access stays inside one page *and* its PTE peek
-  (side-effect-free, :data:`~repro.engine.kernels.KERNELS` ``pte_peek``)
-  shows a present DRAM mapping.  The interpreter then inlines exactly
-  the certified kernels (TLB probe, page-table walk, TLB fill), calls
-  the scalar frame bookkeeping inline (touch + dirty, two attribute
-  writes and an LRU move), charges ``walk + dram_{load,store}_ns``, and
-  batches the commutative stat updates (COSTS.json proves each kernel's
-  counters are plain sums, so deferred flushing is exact).  FlatFlash's
-  per-access maintenance hooks (`_settle_promotions`, `_drain_remaps`)
-  are ORDER_DEPENDENT and are invoked for real — but only when their
-  cheap emptiness guards (`_in_flight`, `ssd._remap`) say they would do
-  work, which is exactly when the scalar path does work too.
+  shows a present DRAM mapping.  The interpreter then calls the scalar
+  frame bookkeeping inline (touch + dirty, two attribute writes and an
+  LRU move), charges ``walk + dram_{load,store}_ns``, and batches the
+  stat updates, which are plain commutative sums, so deferred flushing
+  is exact.  FlatFlash's per-access maintenance hooks
+  (``_settle_promotions``, ``_drain_remaps``) depend on access order
+  and are invoked for real — but only when their cheap emptiness guards
+  (``_in_flight``, ``ssd._remap``) say they would do work, which is
+  exactly when the scalar path does work too.
 
 * **Delegated, thin** — a single-page access whose PTE is not DRAM
   resident (SSD direct access, page fault, in-flight promotion) still
-  gets the inlined wrapper kernels (TLB probe/walk/fill, batched
-  counters, inline clock advance) but hands the page access itself to
-  the unmodified scalar ``system._access_page`` with the simulated
-  clock synchronised across the boundary.  That method *is* the
-  ORDER_DEPENDENT region from BATCH.json (see
-  :data:`repro.engine.kernels.DELEGATED_ORDER_DEPENDENT`), so its
-  internal order — settle promotions, drain remaps, then dispatch —
-  is preserved exactly.
+  gets the inlined translation kernels (batched counters, inline clock
+  advance) but hands the page access itself to the unmodified scalar
+  ``system._access_page`` with the simulated clock synchronised across
+  the boundary, so its internal order — settle promotions, drain
+  remaps, then dispatch — is preserved exactly.
 
 * **Delegated, full** — page-crossing accesses (rare: trace rows are
   cache lines or words) go through the whole scalar ``system._access``
   wrapper, which owns the per-page chunk loop.
+
+Four scalar functions are inlined rather than called, per op in this
+order:
+
+1. ``PageTable.lookup`` (pte peek) — a side-effect-free ``dict.get``
+   used only to pick the dispatch case;
+2. ``TLB.lookup`` (tlb probe) — ``OrderedDict`` membership plus
+   ``move_to_end``; its ``tlb.hits`` hit/total legs are batched;
+3. ``PageTable.walk`` (pt walk, on a TLB miss) — ``page_table.walks`` is
+   batched and ``walk_cost_ns`` is folded into the row's latency;
+4. ``TLB.fill`` (tlb fill, on a TLB miss) — LRU insert with capacity
+   eviction, no counters.
+
+Everything else on the scalar access path depends on access order and is
+never inlined: ``MemorySystem._access`` and ``FlatFlash._plb_access``,
+``_start_pending_promotions``, ``_settle_promotions``,
+``_complete_promotion``, ``_drain_remaps`` and ``_guarded_mmio``.  The
+dispatch rule above (delegate unless the PTE is a present DRAM mapping
+and the access stays inside one page) keeps the fused path clear of all
+seven.  ``tests/test_engine_equivalence.py`` replays traces both ways and
+compares every observable, including seeded mutants of the inlined
+kernels.
 
 The only scalar-visible state the interpreter keeps locally during a
 chunk is the clock (an int) and the commutative stat tallies; both are
@@ -219,7 +236,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                 if pte is not None and pte.present and pte.domain is domain_dram:
                     # --- fused DRAM fast path ---
                     if is_flat:
-                        # ORDER_DEPENDENT maintenance runs for real; the
+                        # Order-dependent maintenance runs for real; the
                         # emptiness guards mirror the scalar early-returns.
                         # (Settle/drain never demote a DRAM-resident PTE,
                         # so the dispatch above cannot be invalidated.)
@@ -261,7 +278,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                         by_source_cache["dram"] = by_source_dram
                     continue
 
-                # --- thin delegation: the ORDER_DEPENDENT page access
+                # --- thin delegation: the order-dependent page access
                 # runs unmodified, wrapper bookkeeping stays batched ---
                 clk._now = now
                 try:

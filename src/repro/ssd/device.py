@@ -524,7 +524,7 @@ class ByteAddressableSSD:
                 page = bytearray(data if data is not None else b"")
                 if page:
                     page[offset : offset + len(old)] = old
-                    self.ftl.write(lpn, bytes(page))  # simcost: disable=SC001 (crash path is untimed)
+                    self.ftl.write(lpn, bytes(page))  # crash path is untimed
         self._posted_log.clear()
         if self.persistence_sanitizer is not None:
             self.persistence_sanitizer.on_crash()

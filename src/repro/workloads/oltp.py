@@ -203,8 +203,7 @@ def compile_trace(
     transaction index, so the program order within a worker is
     recoverable.  Replay through the engine is intentionally NOT wired
     up for OLTP: the DES interleaving (each access's latency feeds the
-    scheduler) makes the global order loop-carried — BATCH.json
-    classifies the worker loop ORDER_DEPENDENT — so the MiniDB always
+    scheduler) makes the global order loop-carried, so the MiniDB always
     runs the scalar path.
     """
     from repro.engine import OP_LOAD, OP_STORE, AccessTrace

@@ -14,7 +14,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.batch import batchable
 from repro.core.memory_system import MappedRegion, MemorySystem
 from repro.sim.stats import LatencyStats
 
@@ -23,15 +22,8 @@ OP_LOAD = 0
 OP_STORE = 1
 
 
-@batchable
 def pack_ops(entries: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
-    """Validate and normalize raw (op, offset, size) triples into trace rows.
-
-    The workload emit loop the vectorized engine batches: each row is
-    checked and coerced independently of every other row (a positional
-    gather with no carried state), so a batched replay may materialize
-    the stream out of order and reassemble it by position.
-    """
+    """Validate and normalize raw (op, offset, size) triples into trace rows."""
     packed: List[Tuple[int, int, int]] = []
     for op, offset, size in entries:
         op = int(op)

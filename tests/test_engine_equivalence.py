@@ -8,9 +8,12 @@ exactly: per-op latencies, stats counters (hit/miss classifications,
 promotion decisions), final page-table state, TLB content and order,
 DRAM frame state, and the simulated clock.
 
-Two seeded mutants then check the gate has teeth: an off-by-one at a
-chunk boundary and a dropped promotion settle must each be caught at the
-expected assertion.
+Seeded mutants then check the gate has teeth: an off-by-one at a chunk
+boundary, a dropped promotion settle, a TLB probe that records one
+extra lookup, and a page-table walk that charges one extra nanosecond
+must each be caught at the expected assertion.  The last two mutate
+scalar kernels the fused path inlines, so this suite is what ties the
+inlined copies to their originals.
 
 The suite-wide sanitizer/domain-tag instrumentation is switched off here
 (module fixture): with it on, :func:`repro.engine.guards.fused_blockers`
@@ -29,6 +32,8 @@ from repro.baselines import DRAMOnly, TraditionalStack, UnifiedMMap
 from repro.config import EngineConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
+from repro.host.page_table import PageTable
+from repro.host.tlb import TLB
 from repro.sim import domain_tags, sanitizers
 
 # The package re-exports the replay *function* under the submodule's
@@ -232,6 +237,12 @@ def test_raising_replay_leaves_scalar_state():
 # --------------------------------------------------------------------- #
 
 
+def _uniform_trace(seed, num_ops=64):
+    rng = np.random.default_rng(seed)
+    addrs = rng.integers(0, REGION_PAGES * page - 128, size=num_ops).astype(np.int64)
+    return AccessTrace.interleaved_rw(addrs, 8)
+
+
 def test_mutant_chunk_boundary_off_by_one_is_caught(monkeypatch):
     """Dropping the row straddling a chunk boundary must trip the gate."""
 
@@ -241,11 +252,8 @@ def test_mutant_chunk_boundary_off_by_one_is_caught(monkeypatch):
         return real(system, rows[:-1], latencies[:-1])
 
     monkeypatch.setattr(replay_module, "_replay_fused", mutant_replay_fused)
-    rng = np.random.default_rng(9)
-    addrs = rng.integers(0, REGION_PAGES * page - 128, size=64).astype(np.int64)
-    trace = AccessTrace.interleaved_rw(addrs, 8)
     with pytest.raises(AssertionError, match="latencies diverged"):
-        assert_equivalent("FlatFlash", trace, chunk_ops=64)
+        assert_equivalent("FlatFlash", _uniform_trace(9), chunk_ops=64)
 
 
 def test_mutant_dropped_promotion_is_caught(monkeypatch):
@@ -263,3 +271,35 @@ def test_mutant_dropped_promotion_is_caught(monkeypatch):
     reference = observable_state(reference_system)
     assert mutated != reference  # the suite's state comparison catches it
     assert mutated["page_table"] != reference["page_table"]
+
+
+def test_mutant_tlb_probe_extra_lookup_is_caught(monkeypatch):
+    """A TLB probe that records one extra lookup must show in the stats."""
+    real_lookup = TLB.lookup
+
+    def mutant_lookup(self, vpn):
+        self._hits.record(False)
+        return real_lookup(self, vpn)
+
+    monkeypatch.setattr(TLB, "lookup", mutant_lookup)
+    with pytest.raises(AssertionError, match="FlatFlash diverged on stats"):
+        assert_equivalent("FlatFlash", _uniform_trace(11))
+
+
+def test_mutant_walk_cost_off_by_one_is_caught(monkeypatch):
+    """A walk charging one extra ns must show in latencies and the clock."""
+    real_walk = PageTable.walk
+
+    def mutant_walk(self, vpn):
+        pte, cost = real_walk(self, vpn)
+        return pte, cost + 1
+
+    monkeypatch.setattr(PageTable, "walk", mutant_walk)
+    trace = _uniform_trace(13)
+    with pytest.raises(AssertionError, match="latencies diverged"):
+        assert_equivalent("FlatFlash", trace)
+    scalar_system, _ = build_system("FlatFlash")
+    engine_system, _ = build_system("FlatFlash")
+    run_scalar(scalar_system, trace)
+    replay(engine_system, trace)
+    assert scalar_system.clock.now != engine_system.clock.now

@@ -153,27 +153,3 @@ class TestTLBIntegration:
         system.load(region.addr(0), 8)
         system.load(region.addr(16), 8)
         assert system.stats.counters()["page_table.walks"] == 1
-
-
-class TestWarmTranslations:
-    def test_fills_tlb_off_the_clock(self, system):
-        region = system.mmap(2)
-        vpns = [region.base_vpn, region.base_vpn + 1]
-        before = system.clock.now
-        misses, walk_ns = system.warm_translations(vpns)
-        assert misses == 2
-        assert walk_ns == 2 * system.page_table.walk_cost_ns
-        assert system.clock.now == before  # pre-warming is free
-        for vpn in vpns:
-            assert system.tlb.lookup(vpn)
-
-    def test_already_warm_pages_cost_nothing(self, system):
-        region = system.mmap(1)
-        system.warm_translations([region.base_vpn])
-        misses, walk_ns = system.warm_translations([region.base_vpn])
-        assert misses == 0
-        assert walk_ns == 0
-
-    def test_unmapped_vpn_raises(self, system):
-        with pytest.raises(KeyError):
-            system.warm_translations([999])

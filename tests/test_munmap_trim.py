@@ -120,3 +120,18 @@ class TestMunmap:
         system.munmap(first)
         second = system.mmap(4)
         assert second.base_vpn > first.base_vpn
+
+    @pytest.mark.parametrize("cls", [FlatFlash, UnifiedMMap, TraditionalStack])
+    def test_munmap_books_one_shootdown_as_background(self, cls):
+        """The batched TLB shootdown is background time, off the clock."""
+        system = cls(small_config())
+        region = system.mmap(8)
+        for page in range(4):
+            system.store(region.page_addr(page), 8)
+        background_before = system.stats.counters()["mem.background_ns"]
+        now = system.clock.now
+        system.munmap(region)
+        background = system.stats.counters()["mem.background_ns"] - background_before
+        assert system.tlb.shootdown_cost_ns > 0
+        assert background == system.tlb.shootdown_cost_ns
+        assert system.clock.now == now

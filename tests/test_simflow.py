@@ -539,9 +539,7 @@ def test_analyze_umbrella_merges_all_three_tools(tmp_path):
     assert payload["tool"] == "analyze"
     assert payload["schema_version"] == 1
     assert payload["count"] == len(payload["findings"])
-    assert set(payload["by_tool"]) == {
-        "simlint", "simrace", "simflow", "simeffect", "simcost", "simbatch",
-    }
+    assert set(payload["by_tool"]) == {"simlint", "simrace", "simflow"}
     found_codes = {f["code"] for f in payload["findings"]}
     assert "SL008" in found_codes
     assert "SR001" in found_codes
