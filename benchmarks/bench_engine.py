@@ -1,14 +1,14 @@
-"""Scalar-vs-engine wall clock for the trace-replay engine (ROADMAP item 1).
+"""Wall clock and row digests of the replay-engine cells (ROADMAP item 1).
 
-The replay engine (:mod:`repro.engine`) only pays off if the compiled
-fast path actually beats the per-access scalar loop on the paper-shape
-experiments that adopted it.  This benchmark times three sweep cells
-both ways — engine disabled (scalar reference) and enabled — and checks
-two things:
+Every plain load/store stream reaches the hierarchy through the
+trace-compiled replay engine (:mod:`repro.engine`).  This benchmark times
+three sweep cells and checks two things:
 
-* the rows are byte-identical (the engine is an optimisation, never a
-  result change);
-* the engine run has not regressed past 2x the committed baseline
+* each cell's rows digest equals the ``rows_sha256`` committed in
+  ``benchmarks/BENCH_engine_baseline.json`` (recorded when the per-row
+  scalar loop and the fused engine agreed on every cell), so the engine
+  still produces the same experiment;
+* no cell has slowed past 2x its committed ``engine_seconds``
   (``--check benchmarks/BENCH_engine_baseline.json`` in CI, mirroring
   ``bench_analyze.py``).
 
@@ -45,7 +45,10 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-#: Sweep cells timed scalar-vs-engine.
+#: Committed per-cell times and rows digests.
+BASELINE = Path(__file__).resolve().parent / "BENCH_engine_baseline.json"
+
+#: Sweep cells timed and digest-checked.
 CELLS = ("fig9a", "fig10", "fig14")
 
 #: Engine run slower than 2x its baseline time fails ``--check``.
@@ -56,55 +59,36 @@ SLOWDOWN_LIMIT = 2.0
 NOISE_FLOOR_SECONDS = 0.5
 
 
-def _run_cell(name: str, engine: bool) -> Dict[str, object]:
+def _run_cell(name: str) -> Dict[str, object]:
     """One cold cell run; returns wall seconds + a digest of the rows."""
-    from repro.config import set_engine_default
     from repro.sweep.registry import call_cell, default_registry
 
-    previous = set_engine_default(engine)
-    try:
-        cell = default_registry()[name]
-        start = time.perf_counter()
-        result = call_cell(cell)
-        elapsed = time.perf_counter() - start
-    finally:
-        set_engine_default(previous)
+    cell = default_registry()[name]
+    start = time.perf_counter()
+    result = call_cell(cell)
+    elapsed = time.perf_counter() - start
     blob = json.dumps(result.rows, sort_keys=True, default=str)
     return {
-        "seconds": round(elapsed, 4),
+        "engine_seconds": round(elapsed, 4),
         "rows_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
     }
 
 
 def time_cells() -> Dict[str, Dict[str, object]]:
-    """Run every cell scalar then engine; returns the comparison table."""
-    table: Dict[str, Dict[str, object]] = {}
-    for name in CELLS:
-        scalar = _run_cell(name, engine=False)
-        engine = _run_cell(name, engine=True)
-        table[name] = {
-            "scalar_seconds": scalar["seconds"],
-            "engine_seconds": engine["seconds"],
-            "speedup": round(
-                float(scalar["seconds"]) / max(float(engine["seconds"]), 1e-9), 2
-            ),
-            "identical": scalar["rows_sha256"] == engine["rows_sha256"],
-            "rows_sha256": engine["rows_sha256"],
-        }
-    return table
+    """Run every cell once; returns the timing/digest table."""
+    return {name: _run_cell(name) for name in CELLS}
 
 
 # --------------------------------------------------------------------------
-# pytest-benchmark cases: engine-on cell runs, equivalence asserted
+# pytest-benchmark cases: cell runs, committed digests asserted
 # --------------------------------------------------------------------------
 
 
 def _bench_cell(once, name: str) -> None:
-    scalar = _run_cell(name, engine=False)
-    engine = once(_run_cell, name, engine=True)
-    assert engine["rows_sha256"] == scalar["rows_sha256"], (
-        f"{name}: engine rows diverged from the scalar reference"
-    )
+    row = once(_run_cell, name)
+    with open(BASELINE, "r", encoding="utf-8") as handle:
+        committed = json.load(handle)["cells"][name]["rows_sha256"]
+    assert row["rows_sha256"] == committed, f"{name}: rows diverged from the committed digest"
 
 
 def test_bench_engine_fig9a(once):
@@ -135,11 +119,11 @@ def check_regressions(
     failures: List[str] = []
     old_cells = baseline.get("cells", {})
     for name, row in table.items():
-        if not row["identical"]:
-            failures.append(f"{name}: engine rows differ from scalar rows")
         old = old_cells.get(name)
         if not isinstance(old, dict) or "engine_seconds" not in old:
             continue
+        if row["rows_sha256"] != old.get("rows_sha256"):
+            failures.append(f"{name}: rows differ from the baseline digest")
         budget = (
             max(float(old["engine_seconds"]), NOISE_FLOOR_SECONDS) * SLOWDOWN_LIMIT
         )
@@ -165,19 +149,12 @@ def main(argv: List[str]) -> int:
         "total_engine_seconds": round(
             sum(float(row["engine_seconds"]) for row in table.values()), 4
         ),
-        "total_scalar_seconds": round(
-            sum(float(row["scalar_seconds"]) for row in table.values()), 4
-        ),
     }
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for name, row in table.items():
-        print(
-            f"{name:>8}: scalar {row['scalar_seconds']:7.3f}s  "
-            f"engine {row['engine_seconds']:7.3f}s  "
-            f"({row['speedup']:.2f}x, identical={row['identical']})"
-        )
+        print(f"{name:>8}: engine {row['engine_seconds']:7.3f}s  rows {row['rows_sha256'][:16]}")
     print(f"wrote {output}")
     if check_path is not None:
         with open(check_path, "r", encoding="utf-8") as handle:
@@ -187,7 +164,7 @@ def main(argv: List[str]) -> int:
             for failure in failures:
                 print(f"PERF REGRESSION {failure}", file=sys.stderr)
             return 1
-        print(f"no cell slower than {SLOWDOWN_LIMIT:g}x the baseline")
+        print(f"rows match the baseline digests; no cell slower than {SLOWDOWN_LIMIT:g}x")
     return 0
 
 

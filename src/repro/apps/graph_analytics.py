@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.memory_system import MemorySystem
-from repro.engine import AccessTrace, replay, replay_enabled
+from repro.engine import OP_LOAD, OP_STORE, AccessTrace, replay
 from repro.workloads.graphs import CSRGraph
 
 
@@ -47,43 +47,15 @@ class GraphEngine:
         self._per_line = self._line // self.ELEMENT_SIZE
 
     # ------------------------------------------------------------------ #
-    # Access charging helpers
-    # ------------------------------------------------------------------ #
-
-    def _touch_state(self, vertex: int, is_write: bool) -> None:
-        addr = self.state_region.addr(vertex * self.ELEMENT_SIZE)
-        if is_write:
-            self.system.store(addr, self.ELEMENT_SIZE)
-        else:
-            self.system.load(addr, self.ELEMENT_SIZE)
-
-    def _stream_edges(self, first_edge: int, count: int) -> None:
-        """Charge a sequential cache-line stream over an edge range."""
-        if count <= 0:
-            return
-        start = first_edge * self.ELEMENT_SIZE
-        end = (first_edge + count) * self.ELEMENT_SIZE
-        line = self._line
-        addr = (start // line) * line
-        while addr < end:
-            self.system.load(self.edges_region.addr(addr), line)
-            addr += line
-
-    def _touch_indptr(self, vertex: int) -> None:
-        self.system.load(
-            self.indptr_region.addr(vertex * self.ELEMENT_SIZE), self.ELEMENT_SIZE
-        )
-
-    # ------------------------------------------------------------------ #
     # Trace compilation (engine phase 1)
     # ------------------------------------------------------------------ #
 
     def _iteration_trace(self, target_writes: bool) -> AccessTrace:
         """One iteration's access stream as a flat trace.
 
-        Per vertex, in the scalar charging order: indptr load, own-state
-        load, sequential edge-line stream, and — with ``target_writes``
-        (PageRank's push phase) — one state store per out-edge target.
+        Per vertex, in order: indptr load, own-state load, sequential
+        edge-line stream, and — with ``target_writes`` (PageRank's push
+        phase) — one state store per out-edge target.
         The stream depends only on the graph structure and geometry, so
         it is compiled once and cached on the graph object (the cache is
         keyed by the region base addresses, which repeat across sweep
@@ -149,51 +121,27 @@ class GraphEngine:
     ) -> np.ndarray:
         """Push-style PageRank; returns the rank vector.
 
-        ``charge_accesses=False`` computes without touching the memory
-        system (for verification against a reference implementation).
+        Each iteration replays the compiled iteration stream, then does
+        the push phase as one edge-ordered scatter-add: ``np.add.at``
+        applies updates in edge order, the same float accumulation
+        sequence as a per-vertex push loop.  ``charge_accesses=False``
+        computes without touching the memory system (for verification
+        against a reference implementation).
         """
         if iterations <= 0:
             raise ValueError(f"iterations must be > 0, got {iterations}")
         graph = self.graph
         n = graph.num_vertices
         ranks = np.full(n, 1.0 / n, dtype=np.float64)
-        out_degree = np.maximum(1, np.diff(graph.indptr)).astype(np.float64)
-        use_engine = charge_accesses and replay_enabled(self.system)
-        if use_engine:
-            # Replay the compiled iteration stream and do the push-phase
-            # math with one edge-ordered scatter-add: np.add.at applies
-            # updates in edge order, the same float accumulation sequence
-            # as the per-vertex loop, so the ranks are bit-identical.
-            trace = self._iteration_trace(target_writes=True)
-            degrees = np.diff(graph.indptr)
-            for _ in range(iterations):
-                replay(self.system, trace)
-                next_ranks = np.zeros(n, dtype=np.float64)
-                np.add.at(
-                    next_ranks, graph.indices, np.repeat(ranks / out_degree, degrees)
-                )
-                dangling = ranks[degrees == 0].sum()
-                ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
-            return ranks
+        degrees = np.diff(graph.indptr)
+        out_degree = np.maximum(1, degrees).astype(np.float64)
+        trace = self._iteration_trace(target_writes=True) if charge_accesses else None
         for _ in range(iterations):
+            if trace is not None:
+                replay(self.system, trace)
             next_ranks = np.zeros(n, dtype=np.float64)
-            for vertex in range(n):
-                first = int(graph.indptr[vertex])
-                last = int(graph.indptr[vertex + 1])
-                degree = last - first
-                if charge_accesses:
-                    self._touch_indptr(vertex)
-                    self._touch_state(vertex, is_write=False)  # read own rank
-                    self._stream_edges(first, degree)
-                if degree == 0:
-                    continue
-                share = ranks[vertex] / out_degree[vertex]
-                targets = graph.indices[first:last]
-                np.add.at(next_ranks, targets, share)
-                if charge_accesses:
-                    for target in targets:
-                        self._touch_state(int(target), is_write=True)
-            dangling = ranks[np.diff(graph.indptr) == 0].sum()
+            np.add.at(next_ranks, graph.indices, np.repeat(ranks / out_degree, degrees))
+            dangling = ranks[degrees == 0].sum()
             ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
         return ranks
 
@@ -226,16 +174,41 @@ class GraphEngine:
             -(-shard_bytes // self.system.page_size), name="graph.shards"
         )
 
-    def _stream_shard(self, first_edge: int, count: int) -> None:
-        """Sequential stream over a shard's (source, value) edge records."""
-        if count <= 0:
-            return
-        start = first_edge * 2 * self.ELEMENT_SIZE
-        end = (first_edge + count) * 2 * self.ELEMENT_SIZE
-        addr = (start // self._line) * self._line
-        while addr < end:
-            self.system.load(self.shard_region.addr(addr), self._line)
-            addr += self._line
+    def _shard_trace(self, bounds: np.ndarray) -> AccessTrace:
+        """One sharded iteration's access stream as a flat trace.
+
+        Per shard, in order: a sequential cache-line stream over the
+        shard's (source, value) edge records, then one state store per
+        vertex of the shard's interval that has in-edges (window-local
+        updates).  After the last shard comes a sequential stream over
+        every shard's records: GraphChi's rewrite of the attached source
+        values.
+        """
+        esize = self.ELEMENT_SIZE
+        record = 2 * esize
+        line = self._line
+        shard_base = self.shard_region.addr(0)
+        state_base = self.state_region.addr(0)
+        indptr = self._csc_indptr
+        columns = []
+
+        def stream(first_edge: int, last_edge: int) -> None:
+            if last_edge > first_edge:
+                start = first_edge * record // line * line
+                lines = np.arange(start, last_edge * record, line)
+                columns.append((shard_base + lines, line, OP_LOAD))
+
+        for shard in range(len(bounds) - 1):
+            lo, hi = int(bounds[shard]), int(bounds[shard + 1])
+            stream(int(indptr[lo]), int(indptr[hi]))
+            touched = lo + np.flatnonzero(np.diff(indptr[lo : hi + 1]))
+            columns.append((state_base + touched * esize, esize, OP_STORE))
+        stream(0, self.graph.num_edges)
+        return AccessTrace.from_columns(
+            np.concatenate([addrs for addrs, _, _ in columns]),
+            np.concatenate([np.full(len(addrs), size) for addrs, size, _ in columns]),
+            np.concatenate([np.full(len(addrs), op) for addrs, _, op in columns]),
+        )
 
     def pagerank_sharded(
         self,
@@ -264,14 +237,15 @@ class GraphEngine:
         bounds = np.linspace(0, n, num_shards + 1, dtype=np.int64)
         ranks = np.full(n, 1.0 / n, dtype=np.float64)
         out_degree = np.maximum(1, np.diff(graph.indptr)).astype(np.float64)
+        trace = self._shard_trace(bounds) if charge_accesses else None
         for _ in range(iterations):
+            if trace is not None:
+                replay(self.system, trace)
             next_ranks = np.zeros(n, dtype=np.float64)
             for shard in range(num_shards):
                 lo, hi = int(bounds[shard]), int(bounds[shard + 1])
                 first = int(self._csc_indptr[lo])
                 last = int(self._csc_indptr[hi])
-                if charge_accesses:
-                    self._stream_shard(first, last - first)
                 sources = self._csc_sources[first:last]
                 shares = ranks[sources] / out_degree[sources]
                 targets_in_shard = np.repeat(
@@ -279,14 +253,6 @@ class GraphEngine:
                     np.diff(self._csc_indptr[lo : hi + 1]),
                 )
                 np.add.at(next_ranks, targets_in_shard, shares)
-                if charge_accesses:
-                    # Window-local updates: one store per touched vertex.
-                    for vertex in np.unique(targets_in_shard):
-                        self._touch_state(int(vertex), is_write=True)
-            if charge_accesses:
-                # End of iteration: rewrite the shards' attached source
-                # values (sequential, like GraphChi's shard rewrite).
-                self._stream_shard(0, graph.num_edges)
             dangling = ranks[np.diff(graph.indptr) == 0].sum()
             ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
         return ranks
@@ -304,39 +270,25 @@ class GraphEngine:
         # Propagate over both edge directions (weak connectivity).
         sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         targets = graph.indices
-        use_engine = charge_accesses and replay_enabled(self.system)
-        scan_trace = self._iteration_trace(target_writes=False) if use_engine else None
+        scan_trace = self._iteration_trace(target_writes=False) if charge_accesses else None
         state_base = self.state_region.addr(0)
         for _iteration in range(max_iterations):
             changed = False
-            if use_engine:
+            if scan_trace is not None:
                 replay(self.system, scan_trace)
-            else:
-                for vertex in range(n):
-                    first = int(graph.indptr[vertex])
-                    last = int(graph.indptr[vertex + 1])
-                    if charge_accesses:
-                        self._touch_indptr(vertex)
-                        self._touch_state(vertex, is_write=False)
-                        self._stream_edges(first, last - first)
             # Vectorized min-label exchange along every edge (both ways).
             new_labels = labels.copy()
             np.minimum.at(new_labels, targets, labels[sources])
             np.minimum.at(new_labels, sources, labels[targets])
-            if charge_accesses:
+            if scan_trace is not None:
+                # One state store per relabelled vertex, in vertex order.
                 updated = np.nonzero(new_labels != labels)[0]
-                if use_engine:
-                    if updated.shape[0]:
-                        replay(
-                            self.system,
-                            AccessTrace.stores(
-                                state_base + updated * self.ELEMENT_SIZE,
-                                self.ELEMENT_SIZE,
-                            ),
-                        )
-                else:
-                    for vertex in updated:
-                        self._touch_state(int(vertex), is_write=True)
+                replay(
+                    self.system,
+                    AccessTrace.stores(
+                        state_base + updated * self.ELEMENT_SIZE, self.ELEMENT_SIZE
+                    ),
+                )
             if not np.array_equal(new_labels, labels):
                 changed = True
             labels = new_labels

@@ -13,8 +13,9 @@ import struct
 from typing import Optional, Tuple
 
 from repro.core.memory_system import MemorySystem
+from repro.engine import replay
 from repro.sim.stats import LatencyStats
-from repro.workloads.ycsb import OpType, YCSBWorkload, generate_ops
+from repro.workloads.ycsb import YCSBWorkload, compile_trace
 
 
 class KVStore:
@@ -85,17 +86,26 @@ def run_ycsb(
 
     ``num_records`` is the number of pre-loaded records the skewed key
     distribution draws from; inserts (workload D) go to fresh keys above
-    it, so capacity must cover ``num_records + expected inserts``.
+    it, so capacity must cover ``num_records + expected inserts``.  The
+    op stream is compiled once and replayed: each GET is one record load
+    and each PUT one record store, exactly as :meth:`KVStore.get` and
+    :meth:`KVStore.put` issue them without a payload.
     """
     if num_records is None:
         num_records = store.capacity_records // 2
+    trace = compile_trace(
+        workload,
+        num_ops,
+        num_records,
+        store.region.addr(0),
+        capacity_records=store.capacity_records,
+        record_size=store.record_size,
+        theta=theta,
+        seed=seed,
+    )
+    result = replay(store.system, trace)
+    store._gets.add(trace.num_loads)
+    store._puts.add(trace.num_stores)
     stats = LatencyStats(workload.name)
-    for op, key in generate_ops(workload, num_ops, num_records, theta=theta, seed=seed):
-        if key >= store.capacity_records:
-            key = key % store.capacity_records
-        if op is OpType.READ:
-            _value, latency = store.get(key)
-        else:  # UPDATE and INSERT are both stores of one record
-            latency = store.put(key)
-        stats.record(latency)
+    stats.extend(result.latencies.tolist())
     return stats

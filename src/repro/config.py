@@ -21,53 +21,6 @@ from typing import Optional
 from repro.faults.plan import FaultConfig
 from repro.sim.sanitizers import SanitizerConfig
 
-#: Process-wide default for newly built :class:`EngineConfig` objects.
-#: Tests flip this to compare scalar and engine-backed runs.
-_ENGINE_DEFAULT_ENABLED = True
-
-
-def set_engine_default(enabled: bool) -> bool:
-    """Set the process-wide engine default; returns the previous value."""
-    global _ENGINE_DEFAULT_ENABLED
-    previous = _ENGINE_DEFAULT_ENABLED
-    _ENGINE_DEFAULT_ENABLED = bool(enabled)
-    return previous
-
-
-def engine_default_enabled() -> bool:
-    """Current process-wide engine default."""
-    return _ENGINE_DEFAULT_ENABLED
-
-
-@dataclass
-class EngineConfig:
-    """Trace-compiled replay engine (repro.engine).
-
-    When enabled, workloads that can compile their access stream to a flat
-    trace replay it through :func:`repro.engine.replay`, which interprets
-    the trace with a fused fast path for DRAM-resident accesses and
-    delegates every other access to the unmodified scalar hierarchy.  The
-    engine is an execution strategy, not a model change: adopting cells
-    must produce byte-identical results (tests/test_engine_equivalence.py
-    and the sweep byte-identity gate enforce this).
-    """
-
-    enabled: bool = True
-    # Accesses replayed per numpy precompute chunk.  Chunking bounds the
-    # working set of the address/op arrays derived from the trace; results
-    # are chunk-size-invariant (the equivalence suite sweeps this).
-    chunk_ops: int = 65_536
-
-    @classmethod
-    def from_default(cls) -> "EngineConfig":
-        return cls(enabled=engine_default_enabled())
-
-    def validate(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ValueError("engine flag 'enabled' must be a bool")
-        if self.chunk_ops <= 0:
-            raise ValueError(f"chunk_ops must be > 0, got {self.chunk_ops}")
-
 
 @dataclass
 class LatencyConfig:
@@ -241,10 +194,6 @@ class FlatFlashConfig:
     # the process-wide switch so the test suite can enable them globally.
     sanitizers: SanitizerConfig = field(default_factory=SanitizerConfig.from_default)
 
-    # Trace-compiled replay engine (repro.engine).  Defaults follow the
-    # process-wide switch so equivalence tests can force scalar execution.
-    engine: EngineConfig = field(default_factory=EngineConfig.from_default)
-
     # Deterministic fault injection (repro.faults).  Inert by default: with
     # all rates at zero no injector is constructed and every metric is
     # bit-identical to a fault-free build.
@@ -276,7 +225,6 @@ class FlatFlashConfig:
         self.geometry.validate()
         self.promotion.validate()
         self.sanitizers.validate()
-        self.engine.validate()
         self.faults.validate()
         if self.readahead_pages < 0:
             raise ValueError(

@@ -1,11 +1,11 @@
-"""Trace-compiled vectorized access engine (ROADMAP item 1).
+"""Trace-compiled access engine: how every plain load/store stream runs.
 
 Two phases behind the existing hierarchy API:
 
 1. **Compile** — workload generators emit their access stream as a flat
-   structured-array :class:`AccessTrace` (``compile_trace()`` entry
-   points in :mod:`repro.workloads`), with numpy doing the address
-   arithmetic that the scalar generators do per access.
+   structured-array :class:`AccessTrace` (the ``compile_*`` entry points
+   in :mod:`repro.workloads` and :mod:`repro.apps.graph_analytics`), with
+   numpy doing the address arithmetic.
 2. **Replay** — :func:`replay` interprets the trace with a fused fast
    path for DRAM-resident single-page accesses (inlining four tiny
    translation kernels and batching their commutative stat updates) and
@@ -13,14 +13,17 @@ Two phases behind the existing hierarchy API:
    kernels and the delegated boundaries are listed in
    :mod:`repro.engine.replay`.
 
-Selection is per-cell via ``FlatFlashConfig.engine``; results are
-byte-identical either way (tests/test_engine_equivalence.py and the
-sweep byte-identity gate enforce it).  See docs/engine.md.
+:func:`fused_blockers` is the only selector between the fused path and
+the per-row scalar reference: it names the observable conditions
+(sanitizers, domain tags, the race detector, overridden access classes)
+under which a replay runs every row through ``system._access``.  Results
+are byte-identical either way (tests/test_engine_equivalence.py and
+tests/test_sweep_equivalence.py enforce it).  See docs/engine.md.
 """
 
-from repro.engine.guards import engine_enabled, fused_blockers, fused_supported
+from repro.engine.guards import fused_blockers
 from repro.engine.trace import OP_LOAD, OP_STORE, TRACE_DTYPE, AccessTrace
-from repro.engine.replay import ReplayResult, replay, replay_enabled
+from repro.engine.replay import ReplayResult, replay
 
 __all__ = [
     "AccessTrace",
@@ -29,8 +32,5 @@ __all__ = [
     "OP_STORE",
     "ReplayResult",
     "replay",
-    "replay_enabled",
-    "engine_enabled",
     "fused_blockers",
-    "fused_supported",
 ]

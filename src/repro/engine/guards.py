@@ -14,9 +14,10 @@ checks), no clock sanitizer or armed power-loss deadline (the fused path
 batches clock advances), and no sequential-prefetch stream detection (a
 per-access hook on the scalar path).  When any blocker is present the
 engine falls back to replaying the whole trace through
-``system._access`` — slower, never wrong.  Exactness of the fused path
-itself is enforced by the differential suite in
-``tests/test_engine_equivalence.py``.
+``system._access`` — slower, never wrong.  These observable conditions
+are the only selector between the fused path and that per-row
+reference.  Exactness of the fused path itself is enforced by the
+differential suite in ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ def fused_blockers(system: Any) -> List[str]:
 
     Each blocker names a dynamic feature whose semantics the fused path
     does not replicate; the interpreter degrades to per-op scalar
-    delegation whenever any are present, so enabling the engine is
-    always safe — just not always fast.
+    delegation whenever any are present, so replaying is always safe —
+    just not always fast.
     """
     # Imports are local: repro.core imports repro.config, which engine
     # users construct first; keeping guards import-light avoids cycles.
@@ -85,15 +86,3 @@ def fused_blockers(system: Any) -> List[str]:
     if isinstance(system, FlatFlash) and system.config.promotion.sequential_prefetch:
         blockers.append("sequential prefetch enabled (per-access stream hook)")
     return blockers
-
-
-def fused_supported(system: Any) -> bool:
-    """True when the fused fast path is exact for ``system``."""
-    return not fused_blockers(system)
-
-
-def engine_enabled(system: Any) -> bool:
-    """True when ``system``'s config selects the replay engine."""
-    config = getattr(system, "config", None)
-    engine = getattr(config, "engine", None)
-    return bool(engine is not None and engine.enabled)

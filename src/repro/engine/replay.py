@@ -54,6 +54,11 @@ The only scalar-visible state the interpreter keeps locally during a
 chunk is the clock (an int) and the commutative stat tallies; both are
 flushed in a ``finally`` so even a raising replay (unmapped address,
 injected fault) leaves the system exactly as the scalar loop would.
+
+When :func:`repro.engine.guards.fused_blockers` names a reason (a
+sanitizer, domain tags, the race detector, an overridden access class),
+the whole trace instead runs row by row through ``system._access``
+(``_replay_scalar``), the per-row reference the fused path must match.
 """
 
 from __future__ import annotations
@@ -63,10 +68,16 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.engine.guards import engine_enabled, fused_blockers
+from repro.engine.guards import fused_blockers
 from repro.engine.trace import OP_STORE, AccessTrace
 
-__all__ = ["ReplayResult", "replay", "replay_enabled"]
+__all__ = ["ReplayResult", "replay"]
+
+#: Rows per numpy precompute chunk of the fused interpreter.  Chunking
+#: bounds the working set of the column arrays derived from the trace;
+#: results are chunk-size-invariant (the equivalence suite patches this
+#: to small values and compares).
+CHUNK_OPS = 65_536
 
 
 @dataclass
@@ -87,11 +98,6 @@ class ReplayResult:
         return self.fused_ops + self.delegated_ops
 
 
-def replay_enabled(system: Any) -> bool:
-    """True when ``system`` opts into trace-compiled replay."""
-    return engine_enabled(system)
-
-
 def replay(system: Any, trace: AccessTrace) -> ReplayResult:
     """Replay ``trace`` against ``system``; exact w.r.t. the scalar loop."""
     rows = trace.rows
@@ -108,7 +114,7 @@ def replay(system: Any, trace: AccessTrace) -> ReplayResult:
 
 
 def _replay_scalar(system: Any, rows: np.ndarray, latencies: np.ndarray) -> None:
-    """Degraded mode: every row through the unmodified scalar path."""
+    """Reference mode: every row through the unmodified scalar ``_access``."""
     access = system._access
     addr_list = rows["addr"].astype(np.int64).tolist()
     size_list = rows["size"].astype(np.int64).tolist()
@@ -125,7 +131,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
 
     domain_dram = Domain.DRAM
     config = system.config
-    chunk_ops = config.engine.chunk_ops
+    chunk_ops = CHUNK_OPS
     page_size = system.page_size
     load_ns = config.latency.dram_load_ns
     store_ns = config.latency.dram_store_ns

@@ -1,8 +1,8 @@
 """Flat structured-array access traces (phase 1 of the replay engine).
 
-A compiled trace is the engine's exchange format: one numpy structured
+A compiled trace is the workloads' exchange format: one numpy structured
 array with a row per memory access, in program order.  Workload
-generators emit it from ``compile_trace()`` entry points; the replay
+generators emit it from ``compile_*`` entry points; the replay
 interpreter (:mod:`repro.engine.replay`) consumes it.  The row layout is
 
 ====== ====== =====================================================
@@ -10,46 +10,26 @@ field  dtype  meaning
 ====== ====== =====================================================
 addr   <u8    virtual byte address
 size   <u4    access size in bytes
-op     <u1    0 = load, 1 = store (workloads.trace's encoding)
-thread <u2    logical thread id (0 for single-threaded workloads)
-ts     <u8    issue timestamp hint in ns (0 when untimed)
+op     <u1    0 = load, 1 = store
 ====== ====== =====================================================
 
-``thread`` and ``ts`` are carried for multi-threaded compilers and for
-interop with externally captured traces; the single-clock interpreter
-replays rows strictly in array order, which is the order the scalar
-generator would have issued them.
-
-The legacy per-region trace container (:class:`repro.workloads.trace.Trace`)
-stores (op, offset, size) triples relative to a region base; the
-converters here bridge the two formats so recorded traces can be
-replayed through the vectorized engine and vice versa.
+The interpreter replays rows strictly in array order, which is the order
+the workload issues them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workloads import us)
-    from repro.workloads.trace import Trace
-
-#: Operation codes; numerically identical to repro.workloads.trace's.
+#: Operation codes of the ``op`` column.
 OP_LOAD = 0
 OP_STORE = 1
 
 #: One row per access, program order.  Little-endian fixed layout so
 #: saved traces are portable across hosts.
-TRACE_DTYPE = np.dtype(
-    [
-        ("addr", "<u8"),
-        ("size", "<u4"),
-        ("op", "<u1"),
-        ("thread", "<u2"),
-        ("ts", "<u8"),
-    ]
-)
+TRACE_DTYPE = np.dtype([("addr", "<u8"), ("size", "<u4"), ("op", "<u1")])
 
 
 class AccessTrace:
@@ -70,12 +50,7 @@ class AccessTrace:
 
     @classmethod
     def from_columns(
-        cls,
-        addrs: Sequence[int],
-        sizes: Sequence[int],
-        ops: Sequence[int],
-        threads: Optional[Sequence[int]] = None,
-        timestamps: Optional[Sequence[int]] = None,
+        cls, addrs: Sequence[int], sizes: Sequence[int], ops: Sequence[int]
     ) -> "AccessTrace":
         """Build a trace from per-column arrays (broadcast scalars allowed)."""
         addr_col = np.asarray(addrs, dtype=np.uint64)
@@ -84,10 +59,6 @@ class AccessTrace:
         rows["addr"] = addr_col
         rows["size"] = np.broadcast_to(np.asarray(sizes, dtype=np.uint32), (count,))
         rows["op"] = np.broadcast_to(np.asarray(ops, dtype=np.uint8), (count,))
-        if threads is not None:
-            rows["thread"] = np.broadcast_to(np.asarray(threads, dtype=np.uint16), (count,))
-        if timestamps is not None:
-            rows["ts"] = np.broadcast_to(np.asarray(timestamps, dtype=np.uint64), (count,))
         return cls(rows).validate()
 
     @classmethod
@@ -114,13 +85,6 @@ class AccessTrace:
         rows["op"][1::2] = OP_STORE
         return cls(rows).validate()
 
-    @classmethod
-    def concat(cls, traces: Sequence["AccessTrace"]) -> "AccessTrace":
-        """Concatenate traces in order (program order is preserved)."""
-        if not traces:
-            return cls(np.zeros(0, dtype=TRACE_DTYPE))
-        return cls(np.concatenate([trace.rows for trace in traces]))
-
     # ------------------------------------------------------------------ #
     # Validation / persistence
     # ------------------------------------------------------------------ #
@@ -142,40 +106,10 @@ class AccessTrace:
     @classmethod
     def load(cls, path: str) -> "AccessTrace":
         with np.load(path) as archive:
-            return cls(np.ascontiguousarray(archive["rows"], dtype=TRACE_DTYPE)).validate()
-
-    # ------------------------------------------------------------------ #
-    # Interop with the legacy per-region trace container
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_legacy(cls, trace: "Trace", base_addr: int) -> "AccessTrace":
-        """Lift a :class:`repro.workloads.trace.Trace` to absolute addresses."""
-        ops: List[Tuple[int, int, int]] = trace.ops
-        count = len(ops)
-        rows = np.zeros(count, dtype=TRACE_DTYPE)
-        if count:
-            columns = np.asarray(ops, dtype=np.int64)
-            rows["op"] = columns[:, 0].astype(np.uint8)
-            rows["addr"] = (columns[:, 1] + base_addr).astype(np.uint64)
-            rows["size"] = columns[:, 2].astype(np.uint32)
-        return cls(rows).validate()
-
-    def to_legacy(self, base_addr: int, name: str = "compiled") -> "Trace":
-        """Lower to a region-relative legacy trace (for Trace.replay/save)."""
-        from repro.workloads.trace import Trace
-
-        offsets = self.rows["addr"].astype(np.int64) - base_addr
-        if offsets.shape[0] and int(offsets.min()) < 0:
-            raise ValueError("trace contains addresses below base_addr")
-        triples = list(
-            zip(
-                self.rows["op"].astype(int).tolist(),
-                offsets.tolist(),
-                self.rows["size"].astype(int).tolist(),
-            )
-        )
-        return Trace(name=name, ops=triples)
+            rows = archive["rows"]
+        if rows.dtype != TRACE_DTYPE:
+            raise ValueError(f"{path!r} holds rows of dtype {rows.dtype}, not {TRACE_DTYPE}")
+        return cls(np.ascontiguousarray(rows)).validate()
 
     # ------------------------------------------------------------------ #
     # Introspection

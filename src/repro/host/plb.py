@@ -23,7 +23,7 @@ for them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.costs import counters
 from repro.effects import effects, kernel
@@ -111,13 +111,6 @@ class PLB:
         self._hits.record(entry is not None)
         return entry
 
-    def batch_lookup(self, ssd_tags: Iterable[HostPage]) -> List[Optional[PLBEntry]]:
-        """CAM-probe several SSD page tags; one :meth:`lookup` per tag, in order."""
-        entries = []
-        for ssd_tag in ssd_tags:
-            entries.append(self.lookup(ssd_tag))
-        return entries
-
     @effects("MUTATES_STATE", "MUTATES_STATS")
     def inbound_line(self, entry: PLBEntry, line: int) -> bool:
         """An inbound line arrived from the SSD.
@@ -151,19 +144,6 @@ class PLB:
         removed = self._by_ssd_tag.pop(entry.ssd_tag, None)
         if removed is not entry:
             raise ValueError(f"entry for SSD page {entry.ssd_tag} not active")
-
-    def batch_retire(self, entries: Iterable[PLBEntry]) -> int:
-        """Retire several completed promotions; returns how many were given.
-
-        Unlike :meth:`retire`, an entry that is no longer active is ignored
-        rather than rejected, so a repeated entry cannot fail the batch
-        halfway through.
-        """
-        retired = 0
-        for entry in entries:
-            self._by_ssd_tag.pop(entry.ssd_tag, None)
-            retired += 1
-        return retired
 
     def entries(self) -> List[PLBEntry]:
         return list(self._by_ssd_tag.values())

@@ -13,7 +13,7 @@ relocation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.costs import counters
 from repro.effects import effects, kernel
@@ -154,19 +154,6 @@ class SSDCache:
     def peek(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page without touching replacement or hit stats."""
         return self.lookup(lpn, record=False)
-
-    def batch_lookup(
-        self, lpns: Iterable[LPN]
-    ) -> Tuple[int, List[Optional[CacheEntry]]]:
-        """Probe several logical pages in order; returns (hits, entries)."""
-        entries = []
-        hits = 0
-        for lpn in lpns:
-            entry = self.lookup(lpn)
-            entries.append(entry)
-            if entry is not None:
-                hits += 1
-        return hits, entries
 
     @effects("MUTATES_STATE", "MUTATES_STATS")
     def insert(

@@ -145,41 +145,3 @@ def workload_by_name(name: str, count: int, seed: int = 5) -> OpStream:
         raise ValueError(
             f"unknown workload {name!r}; choose from {sorted(streams)}"
         ) from None
-
-
-def compile_trace(
-    stream: OpStream,
-    base_addr: int,
-    region_size: int,
-    seed: int = 31,
-    line_size: int = 64,
-):
-    """Compile the stream's metadata-*read* accesses to a flat trace
-    (engine phase 1).
-
-    Mirrors ``_FileSystemBase._read_metadata`` — each op's directory and
-    inode lookups are random 64-byte loads over the metadata region,
-    drawn from the same generator stream (``default_rng(seed)``) in the
-    same order.  The persistence side (journal page writes, byte-granular
-    persist stores) is block/persist-domain traffic, not plain memory
-    loads/stores, so it is not representable as trace rows and stays on
-    the scalar path.
-    """
-    from repro.engine import AccessTrace
-
-    if region_size <= line_size:
-        raise ValueError(f"region_size must exceed {line_size}, got {region_size}")
-    rng = np.random.default_rng(seed)
-    addrs: List[int] = []
-    stamps: List[int] = []
-    for index, op in enumerate(stream):
-        for _ in range(op.metadata_reads):
-            offset = int(rng.integers(0, region_size - line_size))
-            addrs.append(base_addr + offset)
-            stamps.append(index)
-    return AccessTrace.from_columns(
-        np.asarray(addrs, dtype=np.int64),
-        line_size,
-        0,
-        timestamps=np.asarray(stamps, dtype=np.int64),
-    )

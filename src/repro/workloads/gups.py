@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.memory_system import MappedRegion, MemorySystem
-from repro.engine import AccessTrace, replay, replay_enabled
+from repro.engine import AccessTrace, replay
 
 
 def compile_trace(
@@ -26,9 +26,10 @@ def compile_trace(
 ) -> AccessTrace:
     """Compile the RandomAccess stream to a flat trace (engine phase 1).
 
-    Draws indices then values in the same order as :func:`run_gups`, so
-    a shared generator stays stream-compatible between the two paths;
-    each update becomes a load/store pair at the same word address.
+    Draws indices then values, as :func:`run_gups`'s verify mode does;
+    each update becomes a load/store pair at the same word address.  The
+    value draw is unused here but stays: callers that reuse one generator
+    across runs (table3) depend on how far each run advances it.
     """
     if num_updates <= 0:
         raise ValueError(f"num_updates must be > 0, got {num_updates}")
@@ -73,38 +74,26 @@ def run_gups(
     """Run the RandomAccess kernel against a mapped table.
 
     Each update is a load-xor-store of one 64-bit word at a random table
-    index.  With ``verify`` (and payload tracking on) the xor is computed
-    on real data, so the table contents can be checked afterwards.
+    index, replayed from :func:`compile_trace`.  With ``verify`` (and
+    payload tracking on) the xor is computed on real data, so the table
+    contents can be checked afterwards; payloads do not fit a trace row,
+    so that mode issues each load/store directly.
     """
     if num_updates <= 0:
         raise ValueError(f"num_updates must be > 0, got {num_updates}")
     if rng is None:
         rng = np.random.default_rng(1234)
-    if not verify and replay_enabled(system):
-        trace = compile_trace(region, num_updates, rng)
-        start_ns = system.clock.now
-        start_moves = system.page_movements
-        replay(system, trace)
-        return GUPSResult(
-            updates=num_updates,
-            elapsed_ns=system.clock.now - start_ns,
-            page_movements=system.page_movements - start_moves,
-        )
-    words = region.size // 8
-    indices = rng.integers(0, words, size=num_updates)
-    values = rng.integers(0, 2**63, size=num_updates, dtype=np.uint64)
     start_ns = system.clock.now
     start_moves = system.page_movements
     if verify:
+        indices = rng.integers(0, region.size // 8, size=num_updates)
+        values = rng.integers(0, 2**63, size=num_updates, dtype=np.uint64)
         for index, value in zip(indices, values):
             addr = region.addr(int(index) * 8)
             current, _ = system.load_u64(addr)
             system.store_u64(addr, current ^ int(value))
     else:
-        for index in indices:
-            addr = region.addr(int(index) * 8)
-            system.load(addr, 8)
-            system.store(addr, 8)
+        replay(system, compile_trace(region, num_updates, rng))
     return GUPSResult(
         updates=num_updates,
         elapsed_ns=system.clock.now - start_ns,

@@ -183,54 +183,3 @@ def generate_transactions(
             )
         )
     return transactions
-
-
-def compile_trace(
-    spec: TransactionSpec,
-    count: int,
-    table_bytes: int,
-    base_addr: int,
-    num_threads: int = 1,
-    skew: float = 0.6,
-    rng: Optional[np.random.Generator] = None,
-):
-    """Compile a transaction batch to a flat access trace (engine phase 1).
-
-    Each transaction contributes its reads then its writes, 64-byte
-    record accesses at ``base_addr + offset % table_bytes`` exactly as
-    :class:`repro.apps.database.MiniDB`'s worker issues them.  The
-    ``thread`` column carries the round-robin worker id and ``ts`` the
-    transaction index, so the program order within a worker is
-    recoverable.  Replay through the engine is intentionally NOT wired
-    up for OLTP: the DES interleaving (each access's latency feeds the
-    scheduler) makes the global order loop-carried, so the MiniDB always
-    runs the scalar path.
-    """
-    from repro.engine import OP_LOAD, OP_STORE, AccessTrace
-
-    if num_threads <= 0:
-        raise ValueError(f"num_threads must be > 0, got {num_threads}")
-    transactions = generate_transactions(spec, count, table_bytes, skew=skew, rng=rng)
-    addrs: List[int] = []
-    ops: List[int] = []
-    threads: List[int] = []
-    stamps: List[int] = []
-    for index, tx in enumerate(transactions):
-        worker = index % num_threads
-        for offset in tx.read_offsets:
-            addrs.append(base_addr + offset % table_bytes)
-            ops.append(OP_LOAD)
-            threads.append(worker)
-            stamps.append(index)
-        for offset in tx.write_offsets:
-            addrs.append(base_addr + offset % table_bytes)
-            ops.append(OP_STORE)
-            threads.append(worker)
-            stamps.append(index)
-    return AccessTrace.from_columns(
-        np.asarray(addrs, dtype=np.int64),
-        spec.record_size,
-        np.asarray(ops, dtype=np.uint8),
-        threads=np.asarray(threads, dtype=np.int64),
-        timestamps=np.asarray(stamps, dtype=np.int64),
-    )

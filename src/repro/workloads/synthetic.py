@@ -5,11 +5,10 @@ system by touching the pages randomly, then measures the average latency of
 sequential and random 64-byte accesses.  These functions reproduce that
 driver against any :class:`~repro.core.memory_system.MemorySystem`.
 
-Each driver has a ``compile_*_trace`` twin that emits the identical access
-stream as a flat :class:`~repro.engine.trace.AccessTrace` (engine phase 1);
-the drivers replay it through :func:`repro.engine.replay` when the
-system's config enables the engine, and fall back to the scalar per-op
-loop otherwise — results are byte-identical either way.
+Each driver compiles its access stream with a ``compile_*_trace`` function
+to a flat :class:`~repro.engine.trace.AccessTrace` and replays it through
+:func:`repro.engine.replay`.  :func:`synthetic_trace` builds a tunable
+load/store mix for trace save/load/replay workflows.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.memory_system import MappedRegion, MemorySystem
-from repro.engine import AccessTrace, replay, replay_enabled
+from repro.engine import AccessTrace, replay
 from repro.sim.stats import LatencyStats
 
 
@@ -47,16 +46,7 @@ def warm_up(
 ) -> None:
     """Touch random pages of the region to populate caches and DRAM."""
     line = system.config.geometry.cacheline_size
-    if replay_enabled(system):
-        replay(system, compile_warmup_trace(region, num_accesses, line, rng))
-        return
-    if rng is None:
-        rng = np.random.default_rng(42)
-    pages = rng.integers(0, region.num_pages, size=num_accesses)
-    lines_per_page = region.page_size // line
-    offsets = rng.integers(0, lines_per_page, size=num_accesses) * line
-    for page, offset in zip(pages, offsets):
-        system.load(region.page_addr(int(page), int(offset)), line)
+    replay(system, compile_warmup_trace(region, num_accesses, line, rng))
 
 
 def compile_sequential_trace(
@@ -88,26 +78,9 @@ def sequential_access(
     rng: Optional[np.random.Generator] = None,
 ) -> LatencyStats:
     """Sequential cache-line sweep over the region; returns per-op latencies."""
-    if not 0.0 <= write_ratio <= 1.0:
-        raise ValueError(f"write_ratio must be in [0, 1], got {write_ratio}")
+    trace = compile_sequential_trace(region, num_ops, size, write_ratio, rng)
     stats = LatencyStats("sequential")
-    if replay_enabled(system):
-        trace = compile_sequential_trace(region, num_ops, size, write_ratio, rng)
-        result = replay(system, trace)
-        stats.extend(result.latencies.tolist())
-        return stats
-    if rng is None:
-        rng = np.random.default_rng(7)
-    writes = rng.random(num_ops) < write_ratio
-    total_lines = region.size // size
-    for op in range(num_ops):
-        offset = (op % total_lines) * size
-        addr = region.addr(offset)
-        if writes[op]:
-            result = system.store(addr, size)
-        else:
-            result = system.load(addr, size)
-        stats.record(result.latency_ns)
+    stats.extend(replay(system, trace).latencies.tolist())
     return stats
 
 
@@ -140,24 +113,41 @@ def random_access(
     rng: Optional[np.random.Generator] = None,
 ) -> LatencyStats:
     """Uniformly random cache-line accesses; returns per-op latencies."""
-    if not 0.0 <= write_ratio <= 1.0:
-        raise ValueError(f"write_ratio must be in [0, 1], got {write_ratio}")
+    trace = compile_random_trace(region, num_ops, size, write_ratio, rng)
     stats = LatencyStats("random")
-    if replay_enabled(system):
-        trace = compile_random_trace(region, num_ops, size, write_ratio, rng)
-        result = replay(system, trace)
-        stats.extend(result.latencies.tolist())
-        return stats
-    if rng is None:
-        rng = np.random.default_rng(11)
-    total_lines = region.size // size
-    indices = rng.integers(0, total_lines, size=num_ops)
-    writes = rng.random(num_ops) < write_ratio
-    for line_index, is_write in zip(indices, writes):
-        addr = region.addr(int(line_index) * size)
-        if is_write:
-            result = system.store(addr, size)
-        else:
-            result = system.load(addr, size)
-        stats.record(result.latency_ns)
+    stats.extend(replay(system, trace).latencies.tolist())
     return stats
+
+
+def synthetic_trace(
+    region: MappedRegion,
+    num_ops: int,
+    read_ratio: float = 0.8,
+    locality: float = 0.0,
+    size: int = 64,
+    rng: Optional[np.random.Generator] = None,
+) -> AccessTrace:
+    """A load/store mix over the region: uniform, or hot-clustered.
+
+    ``locality`` in [0, 1): that fraction of accesses hits the hottest
+    10 % of the region's ``size``-byte slots.
+    """
+    if not 0.0 <= read_ratio <= 1.0:
+        raise ValueError(f"read_ratio must be in [0, 1], got {read_ratio}")
+    if not 0.0 <= locality < 1.0:
+        raise ValueError(f"locality must be in [0, 1), got {locality}")
+    if region.size < size:
+        raise ValueError(f"region of {region.size} bytes smaller than one access")
+    if rng is None:
+        rng = np.random.default_rng(1)
+    slots = region.size // size
+    hot = rng.random(num_ops) < locality
+    slot = np.where(
+        hot,
+        rng.integers(0, max(1, slots // 10), size=num_ops),
+        rng.integers(0, slots, size=num_ops),
+    )
+    writes = rng.random(num_ops) >= read_ratio
+    return AccessTrace.from_columns(
+        region.addr(0) + slot * size, size, writes.astype(np.uint8)
+    )

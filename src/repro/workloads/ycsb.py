@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.engine import OP_LOAD, OP_STORE, AccessTrace
 from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator
 
 
@@ -113,17 +114,14 @@ def compile_trace(
     record_size: int = RECORD_SIZE,
     theta: float = 0.99,
     seed: int = 21,
-):
-    """Compile the workload's op stream to a flat access trace (engine
-    phase 1).
+) -> AccessTrace:
+    """Compile the workload's op stream to a flat access trace.
 
-    Mirrors :func:`repro.apps.kvstore.run_ycsb`: each read becomes one
+    :func:`repro.apps.kvstore.run_ycsb` replays it: each read becomes one
     ``record_size`` load and each update/insert one store, at
     ``base_addr + key * record_size`` with keys wrapped to
-    ``capacity_records`` the way the driver wraps them.
+    ``capacity_records`` (inserts past it reuse the low keys).
     """
-    from repro.engine import OP_LOAD, OP_STORE, AccessTrace
-
     if capacity_records is None:
         capacity_records = num_records
     addrs = np.empty(num_ops, dtype=np.int64)

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import TraditionalStack, UnifiedMMap
-from repro.config import EngineConfig, FaultConfig, small_config
+from repro.config import FaultConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.sim import domain_tags, sanitizers
@@ -119,7 +119,7 @@ def run(system_name, mode):
     """Final stats of one system after the mixed trace, scalar or fused."""
     kind, faults = SYSTEMS[system_name]
     overrides = {} if faults is None else {"faults": faults}
-    system = kind(small_config(engine=EngineConfig(enabled=True), **overrides))
+    system = kind(small_config(**overrides))
     region = system.mmap(REGION_PAGES)
     trace = mixed_trace(region.addr(0))
     if mode == "fused":
@@ -127,7 +127,7 @@ def run(system_name, mode):
         assert result.blockers == []
         assert result.fused_ops > 0
     else:
-        for addr, size, op, _thread, _ts in trace.rows.tolist():
+        for addr, size, op in trace.rows.tolist():
             if op:
                 system.store(int(addr), int(size))
             else:

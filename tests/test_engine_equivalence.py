@@ -1,6 +1,6 @@
 """Differential gate for the trace-replay engine (ROADMAP item 1).
 
-Random traces — mixed read/write, multi-thread, skewed and sequential,
+Random traces — mixed read/write, skewed and sequential,
 promotion-triggering densities — are executed twice against identically
 configured systems: once through the scalar ``load``/``store`` loop and
 once through :func:`repro.engine.replay`.  Every observable must match
@@ -22,6 +22,7 @@ forces the whole-trace scalar fallback, which is exercised separately in
 """
 
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DRAMOnly, TraditionalStack, UnifiedMMap
-from repro.config import EngineConfig, small_config
+from repro.config import small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.host.page_table import PageTable
@@ -51,19 +52,19 @@ REGION_PAGES = 24
 
 @pytest.fixture(scope="module", autouse=True)
 def _plain_simulators():
-    """Shadow instrumentation off, so the fused fast path actually runs."""
+    """Shadow instrumentation off, so the fused fast path actually runs;
+    tiny replay chunks, so chunk boundaries fall inside every trace."""
     previous_sanitizers = sanitizers.set_default_enabled(False)
     previous_tags = domain_tags.set_enabled(False)
-    yield
+    with mock.patch.object(replay_module, "CHUNK_OPS", 64):
+        yield
     sanitizers.set_default_enabled(previous_sanitizers)
     domain_tags.set_enabled(previous_tags)
 
 
-def build_system(kind_name, track_data=False, chunk_ops=64):
-    """A small system + one mapped region; tiny chunks exercise chunking."""
-    config = small_config(
-        track_data=track_data, engine=EngineConfig(enabled=True, chunk_ops=chunk_ops)
-    )
+def build_system(kind_name, track_data=False):
+    """A small system + one mapped region."""
+    config = small_config(track_data=track_data)
     if kind_name == "DRAMOnly":
         config.geometry.dram_pages = REGION_PAGES + 8
     kind = SYSTEMS[kind_name]
@@ -101,7 +102,7 @@ def observable_state(system):
 def run_scalar(system, trace):
     """Reference semantics: one public load/store per trace row."""
     latencies = []
-    for addr, size, op, _thread, _ts in trace.rows.tolist():
+    for addr, size, op in trace.rows.tolist():
         if op:
             result = system.store(int(addr), int(size))
         else:
@@ -110,9 +111,9 @@ def run_scalar(system, trace):
     return latencies
 
 
-def assert_equivalent(kind_name, trace, track_data=False, chunk_ops=64):
-    scalar_system, _ = build_system(kind_name, track_data, chunk_ops)
-    engine_system, _ = build_system(kind_name, track_data, chunk_ops)
+def assert_equivalent(kind_name, trace, track_data=False):
+    scalar_system, _ = build_system(kind_name, track_data)
+    engine_system, _ = build_system(kind_name, track_data)
     scalar_latencies = run_scalar(scalar_system, trace)
     result = replay(engine_system, trace)
     assert result.blockers == [], "fused mode unexpectedly off"
@@ -150,8 +151,7 @@ def traces(draw, max_ops=120):
         addrs = (np.arange(num_ops, dtype=np.int64) * stride) % (REGION_PAGES * page - 128)
     sizes = rng.choice([1, 8, 64, 100, 128], size=num_ops)
     ops = rng.integers(0, 2, size=num_ops)
-    threads = rng.integers(0, 4, size=num_ops)
-    return addrs.astype(np.int64), sizes.astype(np.int64), ops, threads
+    return addrs.astype(np.int64), sizes.astype(np.int64), ops
 
 
 @settings(
@@ -165,9 +165,9 @@ def traces(draw, max_ops=120):
     track_data=st.booleans(),
 )
 def test_random_traces_equivalent(rows, kind_name, track_data):
-    addrs, sizes, ops, threads = rows
+    addrs, sizes, ops = rows
     base = build_system(kind_name)[1].addr(0)
-    trace = AccessTrace.from_columns(base + addrs, sizes, ops, threads=threads)
+    trace = AccessTrace.from_columns(base + addrs, sizes, ops)
     assert_equivalent(kind_name, trace, track_data=track_data)
 
 
@@ -179,7 +179,8 @@ def test_chunk_boundaries_invisible(chunk_ops, seed):
     num_ops = 128
     addrs = rng.integers(0, REGION_PAGES * page - 128, size=num_ops).astype(np.int64)
     trace = AccessTrace.interleaved_rw(addrs, 8)
-    assert_equivalent("FlatFlash", trace, chunk_ops=chunk_ops)
+    with mock.patch.object(replay_module, "CHUNK_OPS", chunk_ops):
+        assert_equivalent("FlatFlash", trace)
 
 
 def test_promotion_decisions_match():
@@ -253,7 +254,7 @@ def test_mutant_chunk_boundary_off_by_one_is_caught(monkeypatch):
 
     monkeypatch.setattr(replay_module, "_replay_fused", mutant_replay_fused)
     with pytest.raises(AssertionError, match="latencies diverged"):
-        assert_equivalent("FlatFlash", _uniform_trace(9), chunk_ops=64)
+        assert_equivalent("FlatFlash", _uniform_trace(9))
 
 
 def test_mutant_dropped_promotion_is_caught(monkeypatch):

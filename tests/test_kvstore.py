@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import DRAMOnly, FlatFlash, small_config
+from repro import DRAMOnly, FlatFlash, TraditionalStack, UnifiedMMap, small_config
+from repro.apps import kvstore as kvstore_module
 from repro.apps.kvstore import KVStore, run_ycsb
-from repro.workloads.ycsb import YCSB_B, YCSB_D
+from repro.sim import domain_tags, sanitizers
+from repro.workloads.ycsb import YCSB_B, YCSB_D, OpType, generate_ops
 
 
 @pytest.fixture
@@ -81,6 +83,52 @@ def test_kvstore_on_dram_only_is_fast():
     store = KVStore(system, capacity_records=256)
     stats = run_ycsb(store, YCSB_B, num_ops=200, num_records=200)
     assert stats.mean < 1_000  # all-DRAM: sub-microsecond
+
+
+@pytest.fixture
+def plain_simulators():
+    """Shadow instrumentation off, so replay takes the fused path."""
+    previous_sanitizers = sanitizers.set_default_enabled(False)
+    previous_tags = domain_tags.set_enabled(False)
+    yield
+    sanitizers.set_default_enabled(previous_sanitizers)
+    domain_tags.set_enabled(previous_tags)
+
+
+@pytest.mark.parametrize("workload", [YCSB_B, YCSB_D], ids=lambda w: w.name)
+@pytest.mark.parametrize("system_cls", [FlatFlash, UnifiedMMap, TraditionalStack, DRAMOnly])
+def test_run_ycsb_equals_per_op_get_put(plain_simulators, monkeypatch, system_cls, workload):
+    """run_ycsb's compiled replay is exactly a get/put loop over generate_ops.
+
+    Capacity sits just above ``num_records``, so YCSB-D's inserts run past
+    it and exercise the key wrap.
+    """
+    num_ops, num_records, capacity = 600, 256, 264
+    reference = KVStore(system_cls(small_config()), capacity_records=capacity)
+    latencies = []
+    for op, key in generate_ops(workload, num_ops, num_records):
+        key %= capacity
+        if op is OpType.READ:
+            latencies.append(reference.get(key)[1])
+        else:
+            latencies.append(reference.put(key))
+
+    real_replay = kvstore_module.replay
+    replays = []
+
+    def recorded(system, trace):
+        replays.append(real_replay(system, trace))
+        return replays[-1]
+
+    monkeypatch.setattr(kvstore_module, "replay", recorded)
+    store = KVStore(system_cls(small_config()), capacity_records=capacity)
+    stats = run_ycsb(store, workload, num_ops=num_ops, num_records=num_records)
+
+    assert [result.blockers for result in replays] == [[]]
+    assert replays[0].fused_ops > 0
+    assert stats.samples == latencies
+    assert store.system.stats.snapshot() == reference.system.stats.snapshot()
+    assert store.system.clock.now == reference.system.clock.now
 
 
 class TestFullYCSBSuite:

@@ -17,6 +17,7 @@ def test_start_and_lookup():
     entry = start_entry(plb)
     assert plb.lookup(10) is entry
     assert plb.lookup(11) is None
+    assert plb._hits.ratio == pytest.approx(0.5)  # every probe is counted
     assert plb.in_flight == 1
 
 
@@ -131,36 +132,3 @@ def test_no_lost_updates_under_any_interleaving(events):
     # And every line that saw any event is marked copied.
     for _kind, line in events:
         assert entry.copied[line]
-
-
-def test_batch_lookup_positional_gather():
-    plb = PLB(entries=4)
-    e1 = start_entry(plb, ssd_tag=1)
-    e2 = start_entry(plb, ssd_tag=2)
-    assert plb.batch_lookup([2, 9, 1]) == [e2, None, e1]
-
-
-def test_batch_lookup_counts_each_probe():
-    plb = PLB(entries=4)
-    start_entry(plb, ssd_tag=1)
-    plb.batch_lookup([1, 1, 7, 8])
-    assert plb._hits.ratio == pytest.approx(0.5)
-
-
-def test_batch_retire_frees_and_counts():
-    plb = PLB(entries=4)
-    e1 = start_entry(plb, ssd_tag=1)
-    e2 = start_entry(plb, ssd_tag=2)
-    assert plb.batch_retire([e1, e2]) == 2
-    assert plb.in_flight == 0
-    assert plb.has_free_entry
-
-
-def test_batch_retire_tolerates_already_retired():
-    # Unlike retire(), the batched form is idempotent per entry so a
-    # reordered/duplicated batch cannot raise halfway through.
-    plb = PLB(entries=2)
-    entry = start_entry(plb, ssd_tag=1)
-    plb.retire(entry)
-    assert plb.batch_retire([entry, entry]) == 2
-    assert plb.in_flight == 0

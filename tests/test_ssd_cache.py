@@ -224,21 +224,3 @@ def test_cached_data_matches_model(ops):
         for entry in row:
             if entry is not None:
                 assert bytes(entry.data) == model[entry.lpn]
-
-
-def test_batch_lookup_counts_hits_and_gathers():
-    cache = make_cache()
-    cache.insert(1, None)
-    cache.insert(3, None)
-    hits, entries = cache.batch_lookup([1, 2, 3])
-    assert hits == 2
-    assert entries[0] is not None and entries[2] is not None
-    assert entries[1] is None
-
-
-def test_batch_lookup_updates_hit_ratio_per_probe():
-    cache = make_cache()
-    cache.insert(7, None)
-    hits, _entries = cache.batch_lookup([7, 8, 9, 7])
-    assert hits == 2
-    assert cache.hit_ratio == pytest.approx(0.5)

@@ -5,12 +5,16 @@ process pool (``jobs=2``); every cell must produce identical rows,
 sections, and metrics, and the assembled EXPERIMENTS.md must be
 byte-identical.  The pool deliberately uses the *spawn* start method, so
 workers re-import the simulator under fresh hash seeds — any
-hash-order-dependent rendering shows up here as a byte diff.
+hash-order-dependent rendering shows up here as a byte diff.  A third
+inline sweep forces every trace replay down the per-row scalar reference;
+its cells and document must match the fused sweep's exactly.
 
-The two sweeps dominate the suite's runtime, so they are module-scoped
+The sweeps dominate the suite's runtime, so they are module-scoped
 fixtures computed once, with the (orthogonal, separately tested)
 sanitizer and domain-tag instrumentation switched off.
 """
+
+import importlib
 
 import pytest
 
@@ -93,29 +97,27 @@ def test_document_needs_every_cell(serial_report):
 
 @pytest.fixture(scope="module")
 def scalar_report(_plain_simulators):
-    """The same full sweep with the replay engine forced off everywhere."""
-    from repro.config import set_engine_default
-
-    previous = set_engine_default(False)
-    try:
+    """The same full sweep with every replay forced down the per-row
+    ``_replay_scalar`` reference: for the fixture's duration the fused
+    path's guard always names a blocker."""
+    # The package re-exports the replay function under the submodule's
+    # name, so patch the module object itself.
+    replay_module = importlib.import_module("repro.engine.replay")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            replay_module,
+            "fused_blockers",
+            lambda system: ["per-row reference forced by the equivalence suite"],
+        )
         return run_sweep(jobs=1)
-    finally:
-        set_engine_default(previous)
-
-
-def test_sweeps_run_with_engine_enabled():
-    """The serial/pool sweeps above exercise the engine-on configuration."""
-    from repro.config import engine_default_enabled
-
-    assert engine_default_enabled()
 
 
 def test_engine_vs_scalar_cells_identical(serial_report, scalar_report):
-    """Engine replay must not change a single cell result anywhere."""
+    """Fused replay must not change a single cell result anywhere."""
     for name in serial_report.results:
         scalar = scalar_report.results[name]
         engine = serial_report.results[name]
-        assert engine.rows == scalar.rows, f"cell {name!r} diverged with engine on"
+        assert engine.rows == scalar.rows, f"cell {name!r} diverged on the fused path"
         assert result_hash(engine) == result_hash(scalar)
 
 
@@ -124,7 +126,7 @@ def test_engine_document_byte_identical_to_scalar(serial_report, scalar_report):
 
 
 def test_engine_document_matches_seed_baseline(serial_report):
-    """Zero faults + engine on reproduces the committed EXPERIMENTS.md
+    """Zero faults + fused replay reproduces the committed EXPERIMENTS.md
     bit-for-bit (the seed baseline predates the engine entirely)."""
     import pathlib
 

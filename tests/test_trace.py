@@ -1,128 +1,100 @@
-"""Tests for trace recording, persistence and replay."""
+"""Tests for compiled access traces: building, persistence and replay."""
 
 import numpy as np
 import pytest
 
-from repro import DRAMOnly, FlatFlash, UnifiedMMap, small_config
-from repro.workloads.trace import OP_LOAD, Trace, TraceRecorder, synthetic_trace
+from repro import FlatFlash, UnifiedMMap, small_config
+from repro.engine import OP_LOAD, OP_STORE, AccessTrace, replay
+from repro.workloads.synthetic import synthetic_trace
+
+PAGE = 4_096
 
 
-def test_append_and_len():
-    trace = Trace()
-    trace.append_load(0, 64)
-    trace.append_store(64, 8)
+def mapped(cls=FlatFlash, pages=16):
+    """A fresh accounting-only system with one mapped region."""
+    system = cls(small_config(track_data=False))
+    return system, system.mmap(pages)
+
+
+def test_len_and_op_counts():
+    trace = AccessTrace.from_columns([0, 64], [64, 8], [OP_LOAD, OP_STORE])
     assert len(trace) == 2
-    assert trace.read_ratio == 0.5
+    assert (trace.num_loads, trace.num_stores) == (1, 1)
 
 
 def test_footprint():
-    trace = Trace()
-    trace.append_load(100, 28)
-    assert trace.footprint_bytes == 128
-    assert Trace().footprint_bytes == 0
+    _system, region = mapped(pages=4)
+    trace = synthetic_trace(region, 500, locality=0.5, rng=np.random.default_rng(2))
+    rows = trace.rows
+    assert int(rows["addr"].min()) >= region.base_addr
+    assert int((rows["addr"] + rows["size"]).max()) <= region.base_addr + region.size
 
 
 def test_invalid_ops_rejected():
-    trace = Trace()
     with pytest.raises(ValueError):
-        trace.append_load(-1, 8)
+        AccessTrace.from_columns([0], 0, OP_LOAD)
     with pytest.raises(ValueError):
-        trace.append_store(0, 0)
+        AccessTrace.from_columns([0], 8, OP_STORE + 1)
 
 
 def test_save_load_round_trip(tmp_path):
-    trace = synthetic_trace(50, 4_096, seed=2)
+    _system, region = mapped()
+    trace = synthetic_trace(region, 50, rng=np.random.default_rng(2))
     path = str(tmp_path / "trace.npz")
     trace.save(path)
-    loaded = Trace.load(path)
-    assert list(loaded) == list(trace)
+    loaded = AccessTrace.load(path)
+    assert loaded.rows.dtype.names == ("addr", "size", "op")
+    assert loaded.rows.tolist() == trace.rows.tolist()
 
 
 def test_load_malformed_rejected(tmp_path):
     path = str(tmp_path / "bad.npz")
-    np.savez_compressed(path, ops=np.zeros((3, 2), dtype=np.int64))
+    np.savez_compressed(path, rows=np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(ValueError):
-        Trace.load(path)
+        AccessTrace.load(path)
 
 
 def test_replay_returns_stats():
-    trace = synthetic_trace(100, 8 * 4_096, seed=3)
-    system = FlatFlash(small_config(track_data=False))
-    stats = trace.replay(system)
-    assert stats.count == 100
-
-
-def test_replay_maps_region_for_footprint():
-    trace = Trace([(OP_LOAD, 5 * 4_096, 64)])
-    system = FlatFlash(small_config(track_data=False))
-    trace.replay(system)
-    assert system.regions[0].num_pages == 6
+    system, region = mapped(pages=8)
+    trace = synthetic_trace(region, 100, rng=np.random.default_rng(3))
+    result = replay(system, trace)
+    assert result.total_ops == 100
+    assert result.latencies.shape == (100,)
+    assert int(result.latencies.min()) > 0
 
 
 def test_replay_region_too_small_rejected():
-    trace = Trace([(OP_LOAD, 2 * 4_096, 64)])
-    system = FlatFlash(small_config(track_data=False))
-    region = system.mmap(1)
-    with pytest.raises(ValueError):
-        trace.replay(system, region)
+    system, region = mapped(pages=1)
+    trace = AccessTrace.loads([region.base_addr + 2 * PAGE], 64)
+    with pytest.raises(KeyError):
+        replay(system, trace)
 
 
 def test_same_trace_fair_comparison():
-    trace = synthetic_trace(300, 16 * 4_096, read_ratio=0.9, seed=4)
-    means = {}
+    _system, region = mapped(pages=64)
+    trace = synthetic_trace(region, 300, read_ratio=0.9, rng=np.random.default_rng(4))
+    latencies = {}
     for cls in (FlatFlash, UnifiedMMap):
-        system = cls(small_config(track_data=False))
-        means[cls.name] = trace.replay(system).mean
-    assert means["FlatFlash"] != means["UnifiedMMap"]  # systems differ...
+        system, _region = mapped(cls, pages=64)
+        latencies[cls.name] = replay(system, trace).latencies.tolist()
+    assert latencies["FlatFlash"] != latencies["UnifiedMMap"]  # systems differ...
     # ...but replaying twice on identical systems is exactly reproducible.
-    again = trace.replay(FlatFlash(small_config(track_data=False))).mean
-    assert again == means["FlatFlash"]
-
-
-def test_recorder_captures_and_forwards():
-    system = FlatFlash(small_config())
-    region = system.mmap(4)
-    recorder = TraceRecorder(system, region)
-    recorder.store(region.addr(64), 8, b"recorded")
-    result = recorder.load(region.addr(64), 8)
-    assert result.data == b"recorded"
-    assert len(recorder.trace) == 2
-    # The recorded trace replays on a fresh system.
-    replay_stats = recorder.trace.replay(DRAMOnly(small_config()))
-    assert replay_stats.count == 2
+    again, _region = mapped(FlatFlash, pages=64)
+    assert replay(again, trace).latencies.tolist() == latencies["FlatFlash"]
 
 
 def test_synthetic_trace_locality():
-    hot = synthetic_trace(2_000, 64 * 4_096, locality=0.9, seed=5)
-    cold = synthetic_trace(2_000, 64 * 4_096, locality=0.0, seed=5)
-    hot_footprint = len({offset for _op, offset, _s in hot})
-    cold_footprint = len({offset for _op, offset, _s in cold})
-    assert hot_footprint < cold_footprint
+    _system, region = mapped(pages=64)
+    hot = synthetic_trace(region, 2_000, locality=0.9, rng=np.random.default_rng(5))
+    cold = synthetic_trace(region, 2_000, locality=0.0, rng=np.random.default_rng(5))
+    assert len(np.unique(hot.rows["addr"])) < len(np.unique(cold.rows["addr"]))
 
 
 def test_synthetic_trace_validation():
+    _system, region = mapped(pages=1)
     with pytest.raises(ValueError):
-        synthetic_trace(10, 4_096, read_ratio=2.0)
+        synthetic_trace(region, 10, read_ratio=2.0)
     with pytest.raises(ValueError):
-        synthetic_trace(10, 4_096, locality=1.0)
+        synthetic_trace(region, 10, locality=1.0)
     with pytest.raises(ValueError):
-        synthetic_trace(10, 32)
-
-
-def test_pack_ops_normalizes_types():
-    from repro.workloads.trace import pack_ops
-
-    packed = pack_ops([(float(OP_LOAD), 64.0, 8.0)])
-    assert packed == [(OP_LOAD, 64, 8)]
-    assert all(isinstance(v, int) for v in packed[0])
-
-
-def test_pack_ops_rejects_bad_rows():
-    from repro.workloads.trace import pack_ops
-
-    with pytest.raises(ValueError):
-        pack_ops([(99, 0, 8)])
-    with pytest.raises(ValueError):
-        pack_ops([(OP_LOAD, -1, 8)])
-    with pytest.raises(ValueError):
-        pack_ops([(OP_LOAD, 0, 0)])
+        synthetic_trace(region, 10, size=2 * PAGE)
