@@ -8,14 +8,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# simlint, simrace, simflow and simeffect are in-tree and always run; ruff
-# runs when installed (CI installs it via the dev extras, bare environments
-# may not).
+# The umbrella runs simlint, simrace and simflow once over src/ and audits
+# stale suppressions; ruff runs when installed (CI installs it via the dev
+# extras, bare environments may not).
 lint:
-	$(PYTHON) -m repro.analysis.simlint src/
-	$(PYTHON) -m repro.analysis.simrace src/
-	$(PYTHON) -m repro.analysis.simflow src/
-	$(PYTHON) -m repro.analysis.simeffect src/
 	$(PYTHON) -m repro.analysis.analyze --check-suppressions src/
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src/ tests/ benchmarks/ examples/; \

@@ -327,7 +327,3 @@ class BPlusTree:
             page = self._child(page, 0)
             level += 1
         return level
-
-    @property
-    def allocated_nodes(self) -> int:
-        return self._next_free

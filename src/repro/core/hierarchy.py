@@ -26,8 +26,6 @@ from typing import Dict, List, Optional
 
 from repro.config import FlatFlashConfig
 from repro.core.memory_system import AccessResult, MemorySystem
-from repro.costs import counters
-from repro.effects import effects
 from repro.core.promotion import PromotionManager
 from repro.host.bridge import HostBridge, MMIORetryPolicy
 from repro.host.cpu_cache import CPUCache
@@ -65,14 +63,6 @@ class _InFlightPromotion:
         self.started_ns = started_ns
 
 
-@counters(
-    owner="mem",
-    conserve=(
-        "_complete_promotion: mem.pages_in == 1",
-        "_evict_frame: mem.evictions == 1",
-        "mem.pages_out <= mem.evictions",
-    ),
-)
 class FlatFlash(MemorySystem):
     """The paper's system: byte-addressable SSD + DRAM, one flat space."""
 
@@ -182,9 +172,6 @@ class FlatFlash(MemorySystem):
     # Access path
     # ------------------------------------------------------------------ #
 
-    @effects(
-        "READS_CLOCK", "MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK"
-    )
     def _access_page(
         self, vpn: VPN, offset: OffsetBytes, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
@@ -216,9 +203,6 @@ class FlatFlash(MemorySystem):
         payload = self.dram.read_bytes(frame, offset, size)
         return AccessResult(latency.dram_load_ns, "dram", data=payload)
 
-    @effects(
-        "READS_CLOCK", "MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK"
-    )
     def _ssd_access(
         self,
         pte: PageTableEntry,
@@ -429,7 +413,6 @@ class FlatFlash(MemorySystem):
                 )
             entry.inbound_pos += 1
 
-    @effects("READS_CLOCK", "MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def _plb_access(
         self,
         flight: _InFlightPromotion,
@@ -537,9 +520,6 @@ class FlatFlash(MemorySystem):
         retry.note_giveup()
         return cost
 
-    @effects(
-        "READS_CLOCK", "MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK"
-    )
     def _start_promotion(self, lpn: LPN) -> TimeNs:
         """Kick off one promotion; returns the stall charged to the access
         (nonzero only in the PLB-disabled ablation)."""
@@ -737,7 +717,6 @@ class FlatFlash(MemorySystem):
     # Maintenance / introspection
     # ------------------------------------------------------------------ #
 
-    @effects("READS_CLOCK", "MUTATES_STATE", "MUTATES_STATS")
     def quiesce(self) -> None:
         """Finish all in-flight promotions (end-of-experiment settling)."""
         for flight in list(self._in_flight.values()):

@@ -21,8 +21,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import FlatFlashConfig
-from repro.costs import counters
-from repro.effects import effects
 from repro.host.page_table import PageTable
 from repro.host.tlb import TLB
 from repro.sim.clock import SimClock
@@ -93,13 +91,6 @@ class MappedRegion:
         return f"MappedRegion({self.name!r}, pages={self.num_pages}, persist={self.persist})"
 
 
-@counters(
-    owner="mem",
-    conserve=(
-        "_access: mem.loads + mem.stores == 1",
-        "_access: mem.access:samples == 1",
-    ),
-)
 class MemorySystem(abc.ABC):
     """Base class: virtual address space, TLB accounting, access splitting."""
 
@@ -192,40 +183,16 @@ class MemorySystem(abc.ABC):
     # Access path
     # ------------------------------------------------------------------ #
 
-    @effects(
-        "READS_CLOCK",
-        "ADVANCES_CLOCK",
-        "MUTATES_STATE",
-        "MUTATES_STATS",
-        "PERSISTS",
-        "FAULT_HOOK",
-    )
     def load(self, vaddr: int, size: int) -> AccessResult:
         """Read ``size`` bytes at ``vaddr``; advances the clock by the cost."""
         return self._access(vaddr, size, is_write=False, data=None)
 
-    @effects(
-        "READS_CLOCK",
-        "ADVANCES_CLOCK",
-        "MUTATES_STATE",
-        "MUTATES_STATS",
-        "PERSISTS",
-        "FAULT_HOOK",
-    )
     def store(self, vaddr: int, size: int, data: Optional[bytes] = None) -> AccessResult:
         """Write ``size`` bytes at ``vaddr``; ``data`` optional (accounting-only)."""
         if data is not None and len(data) != size:
             raise ValueError(f"data length {len(data)} != size {size}")
         return self._access(vaddr, size, is_write=True, data=data)
 
-    @effects(
-        "READS_CLOCK",
-        "ADVANCES_CLOCK",
-        "MUTATES_STATE",
-        "MUTATES_STATS",
-        "PERSISTS",
-        "FAULT_HOOK",
-    )
     def _access(
         self, vaddr: int, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
@@ -333,7 +300,6 @@ class MemorySystem(abc.ABC):
     # Explicit time charging (used by apps for non-memory work)
     # ------------------------------------------------------------------ #
 
-    @effects("ADVANCES_CLOCK")
     def charge_foreground(self, ns: TimeNs) -> None:
         """Advance the clock for work on the critical path (I/O, compute)."""
         self.clock.advance(ns)

@@ -23,8 +23,6 @@ from typing import Deque, List, Optional
 from collections import deque
 
 from repro.config import PromotionConfig
-from repro.costs import counters
-from repro.effects import effects
 from repro.sim.stats import StatRegistry
 from repro.ssd.ssd_cache import CacheEntry
 from repro.units import LPN
@@ -87,10 +85,6 @@ class FixedPromotionPolicy:
         return entry.page_cnt == self.threshold
 
 
-@counters(
-    owner="promotion",
-    conserve=("update: promotion.signals <= 1",),
-)
 class PromotionManager:
     """The SSD's Promotion Manager: wires the policy to the device.
 
@@ -115,18 +109,15 @@ class PromotionManager:
         self.stats = stats if stats is not None else StatRegistry()
         self._promote_signals = self.stats.counter("promotion.signals")
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def update(self, entry: CacheEntry) -> None:
         if self.policy.update(entry) and entry.lpn not in self._queued:
             self._candidates.append(entry.lpn)
             self._queued.add(entry.lpn)
             self._promote_signals.add()
 
-    @effects("MUTATES_STATE")
     def adjust_cnt(self, entry: CacheEntry) -> None:
         self.policy.adjust_cnt(entry)
 
-    @effects("MUTATES_STATE")
     def take_candidates(self) -> List[LPN]:
         """Drain queued promotion candidates (lpns), oldest first."""
         drained = list(self._candidates)

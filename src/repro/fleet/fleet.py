@@ -38,8 +38,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import FlatFlashConfig
 from repro.core.hierarchy import FlatFlash
 from repro.core.memory_system import AccessResult, MemorySystem
-from repro.costs import counters
-from repro.effects import effects
 from repro.fleet.config import FleetConfig
 from repro.fleet.replication import ReplicaMap
 from repro.fleet.router import ShardRouter, make_policy
@@ -172,14 +170,6 @@ class _FleetStoragePort:
         return device.ssd.recover_read(LPN(local_vpn))
 
 
-@counters(
-    owner="fleet",
-    conserve=(
-        "_note_failed_device: fleet.device_losses == 1",
-        "_lose_volatile_page: fleet.volatile_pages_lost == 1",
-        "_lose_durable_page: fleet.durable_pages_lost == 1",
-    ),
-)
 class FlatFlashFleet(MemorySystem):
     """A sharded, replicated fleet of FlatFlash devices (one flat space)."""
 
@@ -344,14 +334,6 @@ class FlatFlashFleet(MemorySystem):
     # Access path
     # ------------------------------------------------------------------ #
 
-    @effects(
-        "READS_CLOCK",
-        "ADVANCES_CLOCK",
-        "MUTATES_STATE",
-        "MUTATES_STATS",
-        "PERSISTS",
-        "FAULT_HOOK",
-    )
     def _access(
         self, vaddr: int, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
@@ -531,7 +513,6 @@ class FlatFlashFleet(MemorySystem):
     # Failover
     # ------------------------------------------------------------------ #
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def _note_failed_device(self, device_index: int) -> None:
         self._device_state[device_index] = "failed"
         self._device_losses.add()
@@ -621,12 +602,10 @@ class FlatFlashFleet(MemorySystem):
         self._replicas.record_repair(vpn, target_index, new_local)
         return read_cost + write_cost
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def _lose_volatile_page(self, vpn: int) -> None:
         self._relocate_lost_page(vpn, persist=False)
         self._volatile_lost.add()
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def _lose_durable_page(self, vpn: int) -> None:
         self._relocate_lost_page(vpn, persist=True)
         self._durable_lost.add()

@@ -6,8 +6,7 @@ exist and which is primary; the fleet applies the actual writes and
 charges quorum timing.  Copy lists are kept in ack-ring order: index 0
 is the primary, the rest are replicas.
 
-Conservation contracts make the failover arithmetic auditable: every
-promotion, lost copy and re-replication bumps exactly one counter, so
+Every promotion, lost copy and re-replication bumps exactly one counter, so
 ``repl.replicas_lost`` vs ``repl.re_replications`` in a campaign report
 is the exact redundancy debt failover left behind.
 """
@@ -16,20 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.costs import counters
-from repro.effects import effects
 from repro.sim.stats import StatRegistry
 
 
-@counters(
-    owner="repl",
-    conserve=(
-        "register: repl.pages_replicated == 1",
-        "promote: repl.promotions == 1",
-        "record_loss: repl.replicas_lost == 1",
-        "record_repair: repl.re_replications == 1",
-    ),
-)
 class ReplicaMap:
     """Copy sets of replicated pages: vpn -> [(device, local vpn), ...]."""
 
@@ -43,7 +31,6 @@ class ReplicaMap:
         self._lost = self.stats.counter("repl.replicas_lost")
         self._repairs = self.stats.counter("repl.re_replications")
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def register(self, vpn: int, copies: Tuple[Tuple[int, int], ...]) -> None:
         """Record the copy set of a newly mapped replicated page."""
         if vpn in self._copies:
@@ -58,9 +45,6 @@ class ReplicaMap:
             self._on_device.setdefault(device, set()).add(vpn)
         self._pages.add()
 
-    def is_replicated(self, vpn: int) -> bool:
-        return vpn in self._copies
-
     def copies(self, vpn: int) -> List[Tuple[int, int]]:
         """The page's copy set, primary first (empty if unreplicated)."""
         return list(self._copies.get(vpn, ()))
@@ -69,7 +53,6 @@ class ReplicaMap:
         """The non-primary copies, in ack-ring order."""
         return list(self._copies.get(vpn, ())[1:])
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def promote(self, vpn: int, device: int) -> Tuple[int, int]:
         """Make the copy on ``device`` primary; returns its slot."""
         copies = self._copies.get(vpn)
@@ -84,7 +67,6 @@ class ReplicaMap:
         self._promotions.add()
         return copies[0]
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def record_loss(self, vpn: int, device: int) -> None:
         """Drop the copy on a failed device from the page's copy set."""
         copies = self._copies.get(vpn)
@@ -97,7 +79,6 @@ class ReplicaMap:
         self._on_device[device].discard(vpn)
         self._lost.add()
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def record_repair(self, vpn: int, device: int, local_vpn: int) -> None:
         """Append a freshly re-replicated copy to the page's copy set."""
         copies = self._copies.get(vpn)

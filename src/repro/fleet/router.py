@@ -20,8 +20,6 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.costs import counters
-from repro.effects import effects
 from repro.sim.stats import StatRegistry
 
 
@@ -75,15 +73,6 @@ def make_policy(name: str, chunk: int = 8):
     raise ValueError(f"unknown striping policy {name!r}")
 
 
-@counters(
-    owner="router",
-    conserve=(
-        "place: router.placements == 1",
-        "remap: router.remaps == 1",
-        "remove: router.removals == 1",
-        "route: router.routes == 1",
-    ),
-)
 class ShardRouter:
     """The mutable placement bijection: global vpn ↔ (device, local vpn)."""
 
@@ -118,7 +107,6 @@ class ShardRouter:
     # Placement map
     # ------------------------------------------------------------------ #
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def place(self, vpn: int, device: int, local_vpn: int) -> None:
         """Record the initial placement of a new global page."""
         if vpn in self._forward:
@@ -127,7 +115,6 @@ class ShardRouter:
         self._forward[vpn] = (device, local_vpn)
         self._placements.add()
 
-    @effects("MUTATES_STATS")
     def route(self, vpn: int) -> Tuple[int, int]:
         """Resolve a global page to its current (device, local vpn)."""
         entry = self._forward.get(vpn)
@@ -144,7 +131,6 @@ class ShardRouter:
         """Reverse lookup: which global page a device slot backs."""
         return self._by_device[device].get(local_vpn)
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def remap(self, vpn: int, device: int, local_vpn: int) -> None:
         """Move a placed page to a new slot (promotion / relocation)."""
         old = self._forward.get(vpn)
@@ -155,7 +141,6 @@ class ShardRouter:
         self._forward[vpn] = (device, local_vpn)
         self._remaps.add()
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def remove(self, vpn: int) -> Tuple[int, int]:
         """Drop a page from the map (munmap); returns its last slot."""
         entry = self._forward.pop(vpn, None)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.host.plb import PLB
 from repro.interconnect.pcie import BarWindow
 from repro.sim.sanitizers import PersistenceSanitizer
@@ -27,14 +25,6 @@ from repro.units import LPN, PFN, HostPage, OffsetBytes, TimeNs
 PERSIST_BIT_SHIFT = 62
 
 
-@counters(
-    owner="bridge",
-    conserve=(
-        "backoff_ns: bridge.mmio_retries == 1",
-        "note_failure: bridge.mmio_failures == 1",
-        "bridge.degraded_pages <= bridge.mmio_failures",
-    ),
-)
 class MMIORetryPolicy:
     """Bounded retry with exponential backoff for faulted MMIO accesses.
 
@@ -86,7 +76,6 @@ class MMIORetryPolicy:
         self._degraded_pages = self.stats.counter("bridge.degraded_pages")
         self._degraded_accesses = self.stats.counter("bridge.degraded_accesses")
 
-    @effects("MUTATES_STATS")
     def backoff_ns(self, attempt: int) -> TimeNs:
         """Wait before retry number ``attempt`` (zero-based)."""
         wait = self.backoff_base_ns * self.backoff_multiplier**attempt
@@ -94,7 +83,6 @@ class MMIORetryPolicy:
         self._retries.add()
         return wait
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def note_failure(self, lpn: LPN) -> bool:
         """Record one failed MMIO transaction on a page; True if the page
         just crossed the degradation threshold."""
@@ -127,10 +115,6 @@ class MMIORetryPolicy:
         return len(self._degraded)
 
 
-@counters(
-    owner="bridge",
-    conserve=("route: bridge.requests_to_dram + bridge.requests_to_ssd == 1",),
-)
 class HostBridge:
     """Routes physical addresses and tracks in-flight promotions."""
 
@@ -177,7 +161,6 @@ class HostBridge:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    @kernel
     def tag_persist(phys_addr: int, persist: bool) -> int:
         """Prefix a physical address with the P bit (done at translation)."""
         if persist:
@@ -185,7 +168,6 @@ class HostBridge:
         return phys_addr
 
     @staticmethod
-    @kernel
     def split_persist(tagged_addr: int) -> Tuple[int, bool]:
         """Mask the P bit out of a tagged address: (address, persist)."""
         persist = bool(tagged_addr & (1 << PERSIST_BIT_SHIFT))
@@ -195,7 +177,6 @@ class HostBridge:
     # Routing
     # ------------------------------------------------------------------ #
 
-    @effects("MUTATES_STATS")
     def route(self, tagged_addr: int) -> Tuple[str, int, int, bool]:
         """Classify a (possibly P-tagged) physical address.
 

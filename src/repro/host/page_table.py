@@ -17,8 +17,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Tuple
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import PFN, VPN, HostPage, TimeNs
@@ -69,18 +67,6 @@ class PageTableEntry:
         )
 
 
-class PageFault(Exception):
-    """Raised on access to a non-present page (paging baselines)."""
-
-    def __init__(self, vpn: VPN) -> None:
-        super().__init__(f"page fault on vpn {vpn}")
-        self.vpn = vpn
-
-
-@counters(
-    owner="page_table",
-    conserve=("walk: page_table.walks == 1",),
-)
 class PageTable:
     """vpn -> PTE mapping with walk-cost accounting."""
 
@@ -92,7 +78,6 @@ class PageTable:
         self.stats = stats if stats is not None else StatRegistry()
         self._walks = self.stats.counter("page_table.walks")
 
-    @effects("MUTATES_STATE")
     def entry(self, vpn: VPN) -> PageTableEntry:
         """The PTE for ``vpn``, created on first reference."""
         domain_tags.check(vpn, "VPN", "PageTable.entry")
@@ -102,12 +87,10 @@ class PageTable:
             self._entries[vpn] = pte
         return pte
 
-    @kernel
     def lookup(self, vpn: VPN) -> Optional[PageTableEntry]:
         """The PTE if it exists, without creating one."""
         return self._entries.get(vpn)
 
-    @kernel(may_raise=("KeyError", "DomainTagError"))
     def walk(self, vpn: VPN) -> Tuple[PageTableEntry, TimeNs]:
         """A hardware page-table walk: returns (PTE, cost in ns)."""
         domain_tags.check(vpn, "VPN", "PageTable.walk")

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import PFN, HostPage, TimeNs
@@ -58,14 +56,6 @@ class PLBEntry:
         )
 
 
-@counters(
-    owner="plb",
-    conserve=(
-        "lookup: plb.hits:total == 1",
-        "plb.hits:hit + plb.hits:miss == plb.hits:total",
-        "start: plb.promotions_started <= 1",
-    ),
-)
 class PLB:
     """The PLB table: fixed entry count, keyed by SSD page tag."""
 
@@ -88,7 +78,6 @@ class PLB:
     def has_free_entry(self) -> bool:
         return len(self._by_ssd_tag) < self.capacity
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def start(
         self, ssd_tag: HostPage, mem_tag: PFN, num_lines: int, complete_at_ns: TimeNs
     ) -> Optional[PLBEntry]:
@@ -104,14 +93,12 @@ class PLB:
         self._started.add()
         return entry
 
-    @kernel
     def lookup(self, ssd_tag: HostPage) -> Optional[PLBEntry]:
         """CAM lookup by SSD page (one cycle: no cost charged)."""
         entry = self._by_ssd_tag.get(ssd_tag)
         self._hits.record(entry is not None)
         return entry
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def inbound_line(self, entry: PLBEntry, line: int) -> bool:
         """An inbound line arrived from the SSD.
 
@@ -125,20 +112,17 @@ class PLB:
         entry.copied[line] = True
         return True
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def cpu_store(self, entry: PLBEntry, line: int) -> None:
         """A CPU store hit the in-flight page: redirect to DRAM, own the line
         (Fig. 4b, steps 5-6)."""
         entry.copied[line] = True
         self._redirects.add()
 
-    @kernel
     def cpu_load_from_dram(self, entry: PLBEntry, line: int) -> bool:
         """Where should a CPU load be served from?  True → DRAM (line already
         copied), False → forward to the SSD."""
         return entry.copied[line]
 
-    @effects("MUTATES_STATE")
     def retire(self, entry: PLBEntry) -> None:
         """Promotion finished: free the entry for reuse (§3.3)."""
         removed = self._by_ssd_tag.pop(entry.ssd_tag, None)

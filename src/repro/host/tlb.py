@@ -16,22 +16,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import VPN, TimeNs
 
 
-@counters(
-    owner="tlb",
-    conserve=(
-        "lookup: tlb.hits:total == 1",
-        "tlb.hits:hit + tlb.hits:miss == tlb.hits:total",
-        "invalidate: tlb.shootdowns == 1",
-        "batch_invalidate: tlb.batch_updates <= 1",
-    ),
-)
 class TLB:
     """A capacity-limited translation cache over virtual page numbers."""
 
@@ -53,7 +42,6 @@ class TLB:
         self._shootdowns = self.stats.counter("tlb.shootdowns")
         self._batch_updates = self.stats.counter("tlb.batch_updates")
 
-    @kernel
     def lookup(self, vpn: VPN) -> bool:
         """True on a TLB hit; hit entries become most-recently used."""
         if vpn in self._cached:
@@ -63,7 +51,6 @@ class TLB:
         self._hits.record(False)
         return False
 
-    @kernel(may_raise=("DomainTagError",))
     def fill(self, vpn: VPN) -> None:
         """Install a translation after a walk, evicting LRU if full."""
         domain_tags.check(vpn, "VPN", "TLB.fill")
@@ -74,14 +61,12 @@ class TLB:
             self._cached.popitem(last=False)
         self._cached[vpn] = None
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def invalidate(self, vpn: VPN) -> TimeNs:
         """Shoot down one translation; returns the cost in ns."""
         self._shootdowns.add()
         self._cached.pop(vpn, None)
         return self.shootdown_cost_ns
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def batch_invalidate(self, vpns: Iterable[VPN]) -> TimeNs:
         """Lazily propagate a batch of address changes with one interrupt.
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import LatencyConfig
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim.sanitizers import PersistenceSanitizer
 from repro.sim.stats import StatRegistry
 from repro.units import TimeNs
@@ -98,11 +96,9 @@ class BarWindow:
         """One past the last byte of the window."""
         return self.base + self.size
 
-    @kernel
     def contains(self, phys_addr: int) -> bool:
         return self.base <= phys_addr < self.end
 
-    @kernel(may_raise=("ValueError",))
     def offset_of(self, phys_addr: int) -> int:
         """Device-relative offset of a host physical address."""
         if not self.contains(phys_addr):
@@ -112,15 +108,6 @@ class BarWindow:
         return phys_addr - self.base
 
 
-@counters(
-    owner="pcie",
-    conserve=(
-        "verify_read_cost: pcie.mmio_reads == 1",
-        "dma_to_host_cost: pcie.dma_ops == 1",
-        "dma_from_host_cost: pcie.dma_ops == 1",
-        "mmio_atomic_cost: pcie.mmio_atomics == 1",
-    ),
-)
 class PCIeLink:
     """Cost and traffic accounting for one PCIe endpoint link."""
 
@@ -160,7 +147,6 @@ class PCIeLink:
         """True once the link has fail-stopped (device loss)."""
         return self._down
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def kill_link(self) -> None:
         """Fail-stop the link permanently (device loss).
 
@@ -206,7 +192,6 @@ class PCIeLink:
             raise ValueError(f"transfer size must be > 0, got {size}")
         return -(-size // self.cacheline_size)  # ceiling division
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_read_cost(self, size: int) -> TimeNs:
         """Cost of a non-posted MMIO read of ``size`` bytes."""
         lines = self._cachelines(size)
@@ -217,7 +202,6 @@ class PCIeLink:
             self.persistence_sanitizer.on_ordering_read()
         return lines * self.latency.mmio_read_cacheline_ns
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_write_cost(self, size: int) -> TimeNs:
         """Cost of a posted MMIO write of ``size`` bytes."""
         lines = self._cachelines(size)
@@ -228,7 +212,6 @@ class PCIeLink:
             self.persistence_sanitizer.on_posted_tlp(lines)
         return lines * self.latency.mmio_write_cacheline_ns
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_atomic_cost(self, size: int) -> TimeNs:
         """Cost of a PCIe atomic (round trip: behaves like a read)."""
         lines = self._cachelines(size)
@@ -240,7 +223,6 @@ class PCIeLink:
             self.persistence_sanitizer.on_ordering_read()
         return lines * self.latency.mmio_read_cacheline_ns
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def verify_read_cost(self) -> TimeNs:
         """Cost of the write-verify read flushing posted writes (§3.5)."""
         self._check_link("pcie.verify_read")
@@ -250,7 +232,6 @@ class PCIeLink:
             self.persistence_sanitizer.on_ordering_read()
         return self.latency.mmio_verify_read_ns
 
-    @effects("MUTATES_STATS")
     def dma_to_host_cost(self, size: int) -> TimeNs:
         """Cost of a device-initiated DMA into host DRAM (page promotion)."""
         self._check_link("pcie.dma_to_host")
@@ -262,7 +243,6 @@ class PCIeLink:
         chunks = -(-pages // chunk)
         return chunks * self.latency.dma_page_transfer_ns
 
-    @effects("MUTATES_STATS")
     def dma_from_host_cost(self, size: int) -> TimeNs:
         """Cost of a DMA from host DRAM into the device (page write-back)."""
         self._check_link("pcie.dma_from_host")

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.ssd.flash import FlashArray, FlashBlock, FlashOp, FlashPageState
@@ -37,15 +35,6 @@ class OutOfSpaceError(RuntimeError):
     """Raised when the flash array has no reclaimable space left."""
 
 
-@counters(
-    owner="ftl",
-    conserve=(
-        "trim: ftl.trims <= 1",
-        "collect_garbage: ftl.gc_runs == 1",
-        "_program_new: ftl.host_writes + ftl.gc_writes == 1",
-        "_read_with_ecc: ftl.ecc_hard_errors <= 1",
-    ),
-)
 class PageFTL:
     """Out-of-place page mapping with greedy victim selection for GC."""
 
@@ -110,12 +99,10 @@ class PageFTL:
         if not 0 <= lpn < self.exported_pages:
             raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
 
-    @kernel(may_raise=("ValueError", "DomainTagError"))
     def is_mapped(self, lpn: LPN) -> bool:
         self._check_lpn(lpn)
         return lpn in self.mapping
 
-    @kernel(may_raise=("KeyError", "ValueError", "DomainTagError"))
     def lookup(self, lpn: LPN) -> PPN:
         """Current ppn for a mapped lpn."""
         self._check_lpn(lpn)
@@ -124,7 +111,6 @@ class PageFTL:
         except KeyError:
             raise KeyError(f"lpn {lpn} is not mapped") from None
 
-    @kernel(may_raise=("DomainTagError",))
     def lpn_of(self, ppn: PPN) -> Optional[LPN]:
         """Reverse lookup: which lpn currently lives at this ppn."""
         domain_tags.check(ppn, "PPN", "PageFTL.lpn_of")
@@ -215,7 +201,6 @@ class PageFTL:
         latency += self.flash.latency.flash_read_page_ns * 2
         return FlashOp(latency, op.data)
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK")
     def write(self, lpn: LPN, data: Optional[bytes] = None) -> Tuple[PPN, TimeNs]:
         """Out-of-place write of a logical page: returns (new_ppn, cost_ns)."""
         self._check_lpn(lpn)
@@ -297,7 +282,6 @@ class PageFTL:
                 best_block = block.index
         return best_block
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK")
     def collect_garbage(self) -> TimeNs:
         """Reclaim one victim block; returns the time spent in ns.
 
@@ -369,7 +353,6 @@ class PageFTL:
             "spread": max(counts) - min(counts),
         }
 
-    @effects("MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK")
     def maybe_level_wear(self) -> TimeNs:
         """Relocate the coldest block when wear imbalance is too large.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.costs import counters
 from repro.sim.stats import StatRegistry
 from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
@@ -27,13 +26,6 @@ from repro.ssd.ssd_cache import CacheEntry, SSDCache
 from repro.units import LPN, TimeNs
 
 
-@counters(
-    owner="gc",
-    conserve=(
-        "flush_entry: gc.dirty_pages_flushed <= 1",
-        "_fresh_copy: gc.cache_pages_folded <= 1",
-    ),
-)
 class GarbageCollector:
     """Couples the FTL's relocation GC with SSD-Cache dirty-page folding."""
 

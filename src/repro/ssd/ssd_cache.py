@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.costs import counters
-from repro.effects import effects, kernel
 from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.ssd.rrip import RRIPSet
@@ -71,14 +69,6 @@ class CacheEntry:
 EvictHook = Callable[[CacheEntry], None]
 
 
-@counters(
-    owner="ssd_cache",
-    conserve=(
-        "lookup: ssd_cache.hits:total <= 1",
-        "ssd_cache.hits:hit + ssd_cache.hits:miss == ssd_cache.hits:total",
-        "ssd_cache.dirty_evictions <= ssd_cache.evictions",
-    ),
-)
 class SSDCache:
     """Set-associative page cache with RRIP (or LRU) replacement."""
 
@@ -131,11 +121,9 @@ class SSDCache:
     def _set_of(self, lpn: LPN) -> int:
         return lpn % self.num_sets
 
-    @kernel
     def contains(self, lpn: LPN) -> bool:
         return lpn in self._where
 
-    @kernel(may_raise=("DomainTagError", "ValueError"))
     def lookup(self, lpn: LPN, record: bool = True) -> Optional[CacheEntry]:
         """Find a cached page; a hit refreshes the replacement state."""
         domain_tags.check(lpn, "LPN", "SSDCache.lookup")
@@ -150,12 +138,10 @@ class SSDCache:
             self._policies[set_index].on_hit(way)
         return self._entries[set_index][way]
 
-    @kernel(may_raise=("DomainTagError", "ValueError"))
     def peek(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page without touching replacement or hit stats."""
         return self.lookup(lpn, record=False)
 
-    @effects("MUTATES_STATE", "MUTATES_STATS")
     def insert(
         self, lpn: LPN, data: Optional[bytes] = None, dirty: bool = False
     ) -> Optional[CacheEntry]:

@@ -64,6 +64,12 @@ INVARIANTS = [
     ("ssd_cache.dirty_evictions", "<=", "ssd_cache.evictions", FLATFLASH),
     ("mem.pages_out", "<=", "mem.evictions", FLATFLASH),
     ("bridge.degraded_pages", "<=", "bridge.mmio_failures", ("FlatFlash+pcie_storm",)),
+    # Every successful page program is booked once, as a host or a GC
+    # write; failed programs are retried and never counted.
+    ("ftl.host_writes + ftl.gc_writes", "==", "flash.page_programs", ALL),
+    # A promotion moves its page in once, when it completes; one still in
+    # flight at the end of the run has not moved it yet.
+    ("mem.pages_in", "<=", "mem.promotions", FLATFLASH),
 ]
 
 #: Stats that stay zero in full-system runs, and why.

@@ -259,7 +259,6 @@ TOOL_CLIS = [
     ("simlint", "SL001"),
     ("simrace", "SR001"),
     ("simflow", "SF001"),
-    ("simeffect", "SE001"),
 ]
 
 
