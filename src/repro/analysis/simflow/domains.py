@@ -276,8 +276,7 @@ REGISTRY: Tuple[Translation, ...] = (
     Translation("read", ("ftl",), (LPN,), None, "FTL read"),
     Translation("trim", ("ftl",), (LPN,), None, "FTL trim"),
     Translation("is_mapped", ("ftl",), (LPN,), None, "FTL map probe"),
-    # ssd: cache (keyed by LPN) and its set hash
-    Translation("_set_of", ("cache", "self"), (LPN,), PLAIN, "cache-set hash"),
+    # ssd: cache (keyed by LPN)
     Translation("lookup", ("cache",), (LPN,), None, "SSD-cache lookup"),
     Translation("peek", ("cache",), (LPN,), None, "SSD-cache peek"),
     Translation("insert", ("cache",), (LPN, None), None, "SSD-cache insert"),

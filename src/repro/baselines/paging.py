@@ -113,11 +113,10 @@ class PagingMemorySystem(MemorySystem):
         """Migrate the page from SSD to a DRAM frame; returns the stall in ns."""
         self._faults.add()
         cost = self.fault_software_ns
-        frame = self.dram.allocate(vpn)
-        if frame is None:
+        if self.dram.is_full:
             cost += self._evict_one()
-            frame = self.dram.allocate(vpn)
-            assert frame is not None
+        frame = self.dram.allocate(vpn)
+        assert frame is not None
         lpn = self.lpn_of_vpn(vpn)
         page_data, read_cost = self.ssd.read_page_block(lpn)
         cost += read_cost
@@ -165,15 +164,14 @@ class PagingMemorySystem(MemorySystem):
         vpn = frame.vpn
         assert vpn is not None
         was_dirty = frame.dirty
+        lpn = self.lpn_of_vpn(vpn)
         cost = 0
         if was_dirty:
-            lpn = self.lpn_of_vpn(vpn)
             data = bytes(frame.data) if frame.data is not None else None
             cost += self.ssd.write_page_block(lpn, data)
             self._pages_out.add()
         pte = self.page_table.entry(vpn)
-        ssd_page = self.ssd.host_page_of(self.lpn_of_vpn(vpn))
-        pte.point_to_ssd(ssd_page, present=False)
+        pte.point_to_ssd(self.ssd.host_page_of(lpn), present=False)
         cost += self.tlb.invalidate(vpn)
         self.dram.free(frame)
         self._evictions.add()

@@ -45,9 +45,9 @@ class FlashBlock:
 
     Per-state page counts are cached and maintained incrementally — GC
     victim selection scans every block's counts per run, so recomputing
-    them from ``states`` would be quadratic in device size.  All state
-    transitions must go through :meth:`set_state` (or the whole-block
-    resets below) to keep the counts in sync.
+    them from ``states`` would be quadratic in device size.  Page states
+    change only through the three transitions and the whole-block resets
+    below, which keep the counts in sync.
     """
 
     __slots__ = (
@@ -73,24 +73,23 @@ class FlashBlock:
         self._invalid = 0
         self._valid = 0
 
-    def set_state(self, offset: int, state: FlashPageState) -> None:
-        """Transition one page's state, keeping the cached counts exact."""
-        old = self.states[offset]
-        if old is state:
-            return
-        self.states[offset] = state
-        if old is FlashPageState.ERASED:
-            self._erased -= 1
-        elif old is FlashPageState.PROGRAMMED:
-            self._valid -= 1
-        else:
-            self._invalid -= 1
-        if state is FlashPageState.ERASED:
-            self._erased += 1
-        elif state is FlashPageState.PROGRAMMED:
-            self._valid += 1
-        else:
-            self._invalid += 1
+    def mark_programmed(self, offset: int) -> None:
+        """ERASED -> PROGRAMMED: a successful program."""
+        self.states[offset] = FlashPageState.PROGRAMMED
+        self._erased -= 1
+        self._valid += 1
+
+    def mark_burned(self, offset: int) -> None:
+        """ERASED -> INVALID: a failed program burns the page."""
+        self.states[offset] = FlashPageState.INVALID
+        self._erased -= 1
+        self._invalid += 1
+
+    def mark_invalid(self, offset: int) -> None:
+        """PROGRAMMED -> INVALID: an out-of-place overwrite."""
+        self.states[offset] = FlashPageState.INVALID
+        self._valid -= 1
+        self._invalid += 1
 
     def reset_erased(self) -> None:
         """Whole-block erase: every page is ERASED again."""
@@ -145,6 +144,7 @@ class FlashArray:
         self.page_size = page_size
         self.latency = latency
         self.track_data = track_data
+        self.total_pages = num_blocks * pages_per_block
         self.blocks = [FlashBlock(i, pages_per_block) for i in range(num_blocks)]
         self.sanitizer = sanitizer
         if sanitizer is not None:
@@ -162,10 +162,6 @@ class FlashArray:
         self._program_fails = self.stats.counter("flash.program_fails")
         self._erase_fails = self.stats.counter("flash.erase_fails")
         self._wear_retired = self.stats.counter("flash.wear_retired_blocks")
-
-    @property
-    def total_pages(self) -> int:
-        return self.num_blocks * self.pages_per_block
 
     def _check_ppn(self, ppn: PPN) -> None:
         domain_tags.check(ppn, "PPN", "FlashArray")
@@ -209,7 +205,8 @@ class FlashArray:
     def program(self, ppn: PPN, data: Optional[bytes] = None) -> "FlashOp":
         """Program one erased page.  Programming a non-erased page is a bug
         in the FTL and raises."""
-        block = self.block_of(ppn)
+        self._check_ppn(ppn)
+        block = self.blocks[ppn // self.pages_per_block]
         offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_program(ppn)
@@ -224,12 +221,12 @@ class FlashArray:
             # Program failure burns the page: it goes straight to INVALID
             # (unusable until its block is erased) and holds no data.  The
             # FTL retries on the next frontier page.
-            block.set_state(offset, FlashPageState.INVALID)
+            block.mark_burned(offset)
             self._program_fails.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_program_fail(ppn)
             return FlashOp(self.latency.flash_program_page_ns, None, failed=True)
-        block.set_state(offset, FlashPageState.PROGRAMMED)
+        block.mark_programmed(offset)
         self._programs.add()
         if self.track_data:
             self._data[ppn] = bytes(data) if data is not None else b"\x00" * self.page_size
@@ -237,13 +234,14 @@ class FlashArray:
 
     def invalidate(self, ppn: PPN) -> None:
         """Mark a programmed page invalid (out-of-place overwrite)."""
-        block = self.block_of(ppn)
+        self._check_ppn(ppn)
+        block = self.blocks[ppn // self.pages_per_block]
         offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_invalidate(ppn)
         if block.states[offset] is not FlashPageState.PROGRAMMED:
             raise RuntimeError(f"invalidate of non-programmed page ppn={ppn}")
-        block.set_state(offset, FlashPageState.INVALID)
+        block.mark_invalid(offset)
         if self.track_data:
             self._data.pop(ppn, None)
 

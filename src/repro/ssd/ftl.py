@@ -138,21 +138,6 @@ class PageFTL:
         """GC should run when only the reserve block remains on the free list."""
         return len(self._free_blocks) < 2
 
-    def _next_free_ppn(self) -> PPN:
-        """Next erased page on the write frontier, opening a block if needed."""
-        if self._frontier_block is None:
-            if not self._free_blocks:
-                raise OutOfSpaceError("no free flash blocks; GC must run first")
-            self._frontier_block = self._free_blocks.pop()
-            self._frontier_offset = 0
-        ppn = (
-            self._frontier_block * self.flash.pages_per_block + self._frontier_offset
-        )
-        self._frontier_offset += 1
-        if self._frontier_offset == self.flash.pages_per_block:
-            self._frontier_block = None
-        return PPN(ppn)
-
     # ------------------------------------------------------------------ #
     # Host operations
     # ------------------------------------------------------------------ #
@@ -173,11 +158,13 @@ class PageFTL:
     def read(self, lpn: LPN) -> Tuple[PPN, Optional[bytes], TimeNs]:
         """Read a logical page: returns (ppn, data, cost_ns)."""
         ppn = self.lookup(lpn)
-        op = self._read_with_ecc(ppn)
+        op = self.flash.read(ppn)
+        if op.failed:
+            op = self._retry_ecc(ppn, op)
         return ppn, op.data, op.latency_ns
 
-    def _read_with_ecc(self, ppn: PPN) -> FlashOp:
-        """Read a page, retrying injected ECC errors.
+    def _retry_ecc(self, ppn: PPN, op: FlashOp) -> FlashOp:
+        """Recover a read whose first try ``op`` failed ECC.
 
         A failed read is re-issued up to ``ecc_max_retries`` times (each
         charged a full page read).  If every retry fails, the FTL escalates
@@ -185,9 +172,6 @@ class PageFTL:
         of two extra page-read latencies — so data is never lost, only
         delayed; ``ftl.ecc_hard_errors`` counts the escalations.
         """
-        op = self.flash.read(ppn)
-        if not op.failed:
-            return op
         latency = op.latency_ns
         faults = self.flash.faults
         max_retries = faults.config.ecc_max_retries if faults is not None else 0
@@ -230,12 +214,22 @@ class PageFTL:
         return new_ppn, cost
 
     def _program_retrying(self, data: Optional[bytes]) -> Tuple[PPN, TimeNs]:
-        """Program ``data`` on the frontier, skipping pages whose program
-        operation fails (the array burns them to INVALID); returns the
-        first successfully programmed (ppn, cost_ns)."""
+        """Program ``data`` on the write frontier, opening a free block when
+        the frontier is closed and skipping pages whose program operation
+        fails (the array burns them to INVALID); returns the first
+        successfully programmed (ppn, cost_ns)."""
         cost = 0
+        pages_per_block = self.flash.pages_per_block
         while True:
-            ppn = self._next_free_ppn()
+            if self._frontier_block is None:
+                if not self._free_blocks:
+                    raise OutOfSpaceError("no free flash blocks; GC must run first")
+                self._frontier_block = self._free_blocks.pop()
+                self._frontier_offset = 0
+            ppn = PPN(self._frontier_block * pages_per_block + self._frontier_offset)
+            self._frontier_offset += 1
+            if self._frontier_offset == pages_per_block:
+                self._frontier_block = None
             op = self.flash.program(ppn, data)
             cost += op.latency_ns
             if not op.failed:
@@ -308,7 +302,9 @@ class PageFTL:
             lpn = self.reverse.get(old_ppn)
             if lpn is None:
                 raise RuntimeError(f"valid page ppn={old_ppn} has no reverse mapping")
-            op = self._read_with_ecc(old_ppn)
+            op = self.flash.read(old_ppn)
+            if op.failed:
+                op = self._retry_ecc(old_ppn, op)
             cost += op.latency_ns
             data = op.data
             if self.page_source is not None:
@@ -387,7 +383,9 @@ class PageFTL:
             lpn = self.reverse.get(old_ppn)
             if lpn is None:
                 continue
-            op = self._read_with_ecc(old_ppn)
+            op = self.flash.read(old_ppn)
+            if op.failed:
+                op = self._retry_ecc(old_ppn, op)
             cost += op.latency_ns
             new_ppn, program_cost = self._program_retrying(op.data)
             cost += program_cost

@@ -118,29 +118,28 @@ class SSDCache:
         """Called with the entry about to be evicted (ADJUST_CNT, Alg. 1)."""
         self._evict_hooks.append(hook)
 
-    def _set_of(self, lpn: LPN) -> int:
-        return lpn % self.num_sets
-
     def contains(self, lpn: LPN) -> bool:
         return lpn in self._where
 
-    def lookup(self, lpn: LPN, record: bool = True) -> Optional[CacheEntry]:
+    def lookup(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page; a hit refreshes the replacement state."""
         domain_tags.check(lpn, "LPN", "SSDCache.lookup")
         slot = self._where.get(lpn)
         if slot is None:
-            if record:
-                self._hit_ratio.record(False)
+            self._hit_ratio.record(False)
             return None
         set_index, way = divmod(slot, self.ways)
-        if record:
-            self._hit_ratio.record(True)
-            self._policies[set_index].on_hit(way)
+        self._hit_ratio.record(True)
+        self._policies[set_index].on_hit(way)
         return self._entries[set_index][way]
 
     def peek(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page without touching replacement or hit stats."""
-        return self.lookup(lpn, record=False)
+        domain_tags.check(lpn, "LPN", "SSDCache.peek")
+        slot = self._where.get(lpn)
+        if slot is None:
+            return None
+        return self._entries[slot // self.ways][slot % self.ways]
 
     def insert(
         self, lpn: LPN, data: Optional[bytes] = None, dirty: bool = False
@@ -151,9 +150,9 @@ class SSDCache:
         promotion manager can retire its counters) and, when dirty, must be
         written back by the caller (the device charges the flash program).
         """
-        if self.contains(lpn):
+        if lpn in self._where:
             raise ValueError(f"lpn {lpn} is already cached; use lookup/write")
-        set_index = self._set_of(lpn)
+        set_index = lpn % self.num_sets
         policy = self._policies[set_index]
         row = self._entries[set_index]
         occupied = [entry is not None for entry in row]

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.engine import OP_LOAD, OP_STORE, AccessTrace
-from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator
+from repro.workloads.zipfian import ZipfianGenerator
 
 
 class OpType(enum.Enum):
@@ -36,13 +36,13 @@ class YCSBWorkload:
     read_ratio: float
     update_ratio: float
     insert_ratio: float
-    distribution: str  # "zipfian", "latest" or "uniform"
+    distribution: str  # "zipfian" or "latest"
 
     def validate(self) -> None:
         total = self.read_ratio + self.update_ratio + self.insert_ratio
         if not np.isclose(total, 1.0):
             raise ValueError(f"{self.name}: ratios sum to {total}, expected 1.0")
-        if self.distribution not in ("zipfian", "latest", "uniform"):
+        if self.distribution not in ("zipfian", "latest"):
             raise ValueError(f"{self.name}: unknown distribution {self.distribution!r}")
 
 
@@ -57,6 +57,53 @@ WORKLOADS = {w.name: w for w in (YCSB_A, YCSB_B, YCSB_C, YCSB_D)}
 RECORD_SIZE = 64
 
 
+#: Op kinds by the codes :func:`_draw` returns.
+_OP_TYPES = (OpType.READ, OpType.UPDATE, OpType.INSERT)
+
+
+def _draw(
+    workload: YCSBWorkload,
+    num_ops: int,
+    num_records: int,
+    theta: float,
+    seed: int,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw the whole op stream in one pass: (op codes into ``_OP_TYPES``, keys).
+
+    One roll per op picks its kind.  Each insert takes the next fresh key
+    above the preloaded ones; every other op draws its key from one batched
+    call to the workload's distribution.  A ``k``-key draw returns the same
+    keys as ``k`` one-key draws, so the stream equals drawing op by op.
+    """
+    workload.validate()
+    if num_ops <= 0:
+        raise ValueError(f"num_ops must be > 0, got {num_ops}")
+    if num_records <= 0:
+        raise ValueError(f"num_records must be > 0, got {num_records}")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+
+    rolls = rng.random(num_ops)
+    update_cut = workload.read_ratio + workload.update_ratio
+    codes = np.where(rolls < workload.read_ratio, 0, np.where(rolls < update_cut, 1, 2))
+    inserts = codes == 2
+    # Inserts so far, this op included: the key space has grown by that many.
+    inserted = np.cumsum(inserts)
+    keys = np.where(inserts, num_records - 1 + inserted, 0)
+    zipfian = workload.distribution == "zipfian"
+    zipf = ZipfianGenerator(num_records, theta=theta, seed=seed + (1 if zipfian else 2))
+    drawn = ~inserts
+    count = int(np.count_nonzero(drawn))
+    if count and zipfian:
+        keys[drawn] = zipf.sample_scattered(count)
+    elif count:
+        # LatestGenerator's draw: Zipfian distances back from the newest key.
+        newest = num_records - 1 + inserted[drawn]
+        keys[drawn] = np.maximum(newest - zipf.sample(count), 0)
+    return codes, keys
+
+
 def generate_ops(
     workload: YCSBWorkload,
     num_ops: int,
@@ -67,42 +114,16 @@ def generate_ops(
 ) -> Iterator[Tuple[OpType, int]]:
     """Yield ``(op, key)`` pairs following the workload's mix and skew.
 
-    ``theta`` tunes the Zipfian skew, which is how the paper adjusts the
-    working-set size relative to DRAM ("adjust the working set sizes by
-    setting the request distribution parameter in YCSB").
+    The whole stream is drawn in one numpy pass, with zipfian or latest
+    keys, and this iterates the same arrays :func:`compile_trace` packs,
+    so the two always agree.  ``theta`` tunes the Zipfian skew, which is
+    how the paper adjusts the working-set size relative to DRAM ("adjust
+    the working set sizes by setting the request distribution parameter
+    in YCSB").
     """
-    workload.validate()
-    if num_ops <= 0:
-        raise ValueError(f"num_ops must be > 0, got {num_ops}")
-    if num_records <= 0:
-        raise ValueError(f"num_records must be > 0, got {num_records}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
-    zipf = ZipfianGenerator(num_records, theta=theta, seed=seed + 1)
-    latest = LatestGenerator(num_records, theta=theta, seed=seed + 2)
-    rolls = rng.random(num_ops)
-    read_cut = workload.read_ratio
-    update_cut = workload.read_ratio + workload.update_ratio
-
-    for roll in rolls:
-        if roll < read_cut:
-            op = OpType.READ
-        elif roll < update_cut:
-            op = OpType.UPDATE
-        else:
-            op = OpType.INSERT
-        if op is OpType.INSERT:
-            key = latest.record_insert()
-            yield op, key
-            continue
-        if workload.distribution == "latest":
-            key = int(latest.sample(1)[0])
-        elif workload.distribution == "zipfian":
-            key = int(zipf.sample_scattered(1)[0])
-        else:
-            key = int(rng.integers(0, num_records))
-        yield op, key
+    codes, keys = _draw(workload, num_ops, num_records, theta, seed, rng)
+    for code, key in zip(codes.tolist(), keys.tolist()):
+        yield _OP_TYPES[code], key
 
 
 def compile_trace(
@@ -117,6 +138,8 @@ def compile_trace(
 ) -> AccessTrace:
     """Compile the workload's op stream to a flat access trace.
 
+    The stream is drawn in one numpy pass, with zipfian or latest keys;
+    :func:`generate_ops` iterates the same arrays.
     :func:`repro.apps.kvstore.run_ycsb` replays it: each read becomes one
     ``record_size`` load and each update/insert one store, at
     ``base_addr + key * record_size`` with keys wrapped to
@@ -124,13 +147,7 @@ def compile_trace(
     """
     if capacity_records is None:
         capacity_records = num_records
-    addrs = np.empty(num_ops, dtype=np.int64)
-    ops = np.empty(num_ops, dtype=np.uint8)
-    for index, (op, key) in enumerate(
-        generate_ops(workload, num_ops, num_records, theta=theta, seed=seed)
-    ):
-        if key >= capacity_records:
-            key = key % capacity_records
-        addrs[index] = base_addr + key * record_size
-        ops[index] = OP_LOAD if op is OpType.READ else OP_STORE
+    codes, keys = _draw(workload, num_ops, num_records, theta, seed)
+    addrs = base_addr + (keys % capacity_records) * record_size
+    ops = np.where(codes == 0, OP_LOAD, OP_STORE)
     return AccessTrace.from_columns(addrs, record_size, ops)

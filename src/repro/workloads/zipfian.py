@@ -1,9 +1,13 @@
 """Skewed key distributions for the YCSB workloads (§5.4).
 
 YCSB workloads B and D issue requests with a Zipfian distribution; D uses
-the *latest* variant that skews toward recently inserted records.  The
+the *latest* variant that skews toward recently inserted records.  These
+are the two key distributions :mod:`repro.workloads.ycsb` draws from.  The
 generators here follow the YCSB definitions (Gray et al.'s rejection-free
-Zipfian via the precomputed CDF) with numpy vectorization.
+Zipfian via the precomputed CDF) with numpy vectorization: a ``count``-key
+draw returns the same keys as ``count`` one-key draws, so the YCSB op
+stream is drawn in one pass, and its ``generate_ops`` iterates the same
+arrays its ``compile_trace`` packs.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ class ZipfianGenerator:
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        # The scatter multiplier.  Knuth's constant is prime, so its residue
+        # is coprime with every n below it and the permutation is a bijection.
+        self._multiplier = 2654435761 % n
 
     def sample(self, count: int = 1) -> np.ndarray:
         """Draw ``count`` skewed ranks (0 is the hottest)."""
@@ -39,16 +46,8 @@ class ZipfianGenerator:
     def sample_scattered(self, count: int = 1) -> np.ndarray:
         """Skewed ranks scrambled over the key space (hot keys spread out),
         matching YCSB's hashed item ordering."""
-        ranks = self.sample(count)
         # A fixed affine permutation scatters hot ranks across [0, n).
-        multiplier = 2654435761 % self.n
-        if np.gcd(multiplier, self.n) != 1:
-            multiplier = 1
-            for candidate in range(2654435761 % self.n, 2654435761 % self.n + self.n):
-                if np.gcd(candidate % self.n, self.n) == 1 and candidate % self.n > 1:
-                    multiplier = candidate % self.n
-                    break
-        return (ranks * multiplier + 17) % self.n
+        return (self.sample(count) * self._multiplier + 17) % self.n
 
 
 class LatestGenerator:

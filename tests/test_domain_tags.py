@@ -171,7 +171,8 @@ def test_check_rejects_wrong_domain_with_context():
 
 
 def test_lpn_as_ppn_misuse_raises_on_the_flash_array():
-    device = ByteAddressableSSD(small_config())
+    # No payloads: the NAND's own tag checks are what must catch the misuse.
+    device = ByteAddressableSSD(small_config(track_data=False))
     host_page, _cost = device.map_page(LPN(0))
     lpn = device.resolve_lpn(host_page)
     assert domain_tags.domain_of(lpn) == "LPN"
@@ -182,6 +183,10 @@ def test_lpn_as_ppn_misuse_raises_on_the_flash_array():
     # The classic FTL bug: handing the logical page straight to the NAND.
     with pytest.raises(DomainTagError):
         device.flash.read(lpn)
+    with pytest.raises(DomainTagError):
+        device.flash.program(lpn)
+    with pytest.raises(DomainTagError):
+        device.flash.invalidate(lpn)
 
 
 def test_ppn_as_lpn_misuse_raises_on_the_cache():

@@ -139,6 +139,15 @@ def test_out_of_range_ppn_rejected():
         flash.read(4)
     with pytest.raises(ValueError):
         flash.erase(1)
+    flash.program(3)
+    for ppn in (4, -1):
+        with pytest.raises(ValueError):
+            flash.program(ppn)
+        with pytest.raises(ValueError):
+            flash.invalidate(ppn)
+    # Neither rejected call touched page 3 (what -1 would wrap to).
+    assert flash.state_of(3) is FlashPageState.PROGRAMMED
+    assert flash.blocks[0].valid_pages == 1
 
 
 def test_program_counter():

@@ -67,6 +67,14 @@ def test_lpn_out_of_range_rejected():
     _cls, flash, ftl = make_ftl()
     with pytest.raises(ValueError):
         ftl.write(ftl.exported_pages, None)
+    # On every lpn entry point: a ValueError, not an unmapped lpn's KeyError.
+    for lpn in (ftl.exported_pages, -1):
+        with pytest.raises(ValueError):
+            ftl.write(lpn, None)
+        with pytest.raises(ValueError):
+            ftl.read(lpn)
+        with pytest.raises(ValueError):
+            ftl.lookup(lpn)
 
 
 def test_reverse_lookup():

@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from repro import DRAMOnly, FlatFlash, small_config
+from repro.engine import OP_LOAD, OP_STORE
 from repro.workloads.gups import run_gups
 from repro.workloads.synthetic import random_access, sequential_access, warm_up
-from repro.workloads.ycsb import OpType, WORKLOADS, YCSB_B, YCSB_D, generate_ops
+from repro.workloads.ycsb import (
+    WORKLOADS,
+    YCSB_A,
+    YCSB_B,
+    YCSB_C,
+    YCSB_D,
+    OpType,
+    YCSBWorkload,
+    compile_trace,
+    generate_ops,
+)
 from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator
 
 
@@ -109,6 +120,18 @@ class TestZipfian:
         with pytest.raises(ValueError):
             ZipfianGenerator(10).sample(0)
 
+    def test_scatter_multiplier_matches_the_per_call_formula(self):
+        """The multiplier computed once at construction scatters exactly as
+        the formula ``sample_scattered`` used to evaluate on every call."""
+        n = 1_000
+        multiplier = 2654435761 % n
+        assert np.gcd(multiplier, n) == 1
+        ranks = ZipfianGenerator(n, seed=9).sample(2_000)
+        expected = (ranks * multiplier + 17) % n
+        scattered = ZipfianGenerator(n, seed=9)
+        assert np.array_equal(scattered.sample_scattered(1_500), expected[:1_500])
+        assert np.array_equal(scattered.sample_scattered(500), expected[1_500:])
+
     def test_latest_prefers_recent(self):
         latest = LatestGenerator(1_000)
         samples = latest.sample(10_000)
@@ -152,3 +175,64 @@ class TestYCSB:
     def test_all_named_workloads_valid(self):
         for workload in WORKLOADS.values():
             workload.validate()
+
+
+def per_op_stream(workload, num_ops, num_records, seed):
+    """The op-by-op draw the batched stream replaces: one key draw per op."""
+    rng = np.random.default_rng(seed)
+    zipf = ZipfianGenerator(num_records, theta=0.99, seed=seed + 1)
+    latest = LatestGenerator(num_records, theta=0.99, seed=seed + 2)
+    read_cut = workload.read_ratio
+    update_cut = workload.read_ratio + workload.update_ratio
+    ops = []
+    for roll in rng.random(num_ops):
+        if roll < read_cut:
+            op = OpType.READ
+        elif roll < update_cut:
+            op = OpType.UPDATE
+        else:
+            op = OpType.INSERT
+        if op is OpType.INSERT:
+            key = latest.record_insert()
+        elif workload.distribution == "latest":
+            key = int(latest.sample(1)[0])
+        else:
+            key = int(zipf.sample_scattered(1)[0])
+        ops.append((op, key))
+    return ops
+
+
+ZIPF_INSERTS = YCSBWorkload("zipf-inserts", 0.6, 0.2, 0.2, "zipfian")
+ALL_INSERTS = YCSBWorkload("all-inserts", 0.0, 0.0, 1.0, "latest")  # draws no key
+STREAM_CASES = [
+    *[(w, seed) for w in (YCSB_A, YCSB_B, YCSB_C, YCSB_D) for seed in (0, 5, 21)],
+    (ZIPF_INSERTS, 3),
+    (ALL_INSERTS, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, seed", STREAM_CASES, ids=[f"{w.name}-seed{seed}" for w, seed in STREAM_CASES]
+)
+def test_batched_stream_equals_per_op_draws(workload, seed):
+    """``generate_ops`` pairs and ``compile_trace`` rows equal an op-by-op draw.
+
+    The capacity sits a few records above ``num_records``, so every mix
+    with inserts runs past it and exercises the key wrap.
+    """
+    num_ops, num_records, capacity, base, record_size = 800, 256, 260, 1 << 20, 64
+    reference = per_op_stream(workload, num_ops, num_records, seed)
+    assert list(generate_ops(workload, num_ops, num_records, seed=seed)) == reference
+
+    trace = compile_trace(
+        workload, num_ops, num_records, base, capacity_records=capacity,
+        record_size=record_size, seed=seed,
+    )
+    keys = [key % capacity for _op, key in reference]
+    assert trace.rows["addr"].tolist() == [base + key * record_size for key in keys]
+    assert trace.rows["op"].tolist() == [
+        OP_LOAD if op is OpType.READ else OP_STORE for op, _key in reference
+    ]
+    assert set(trace.rows["size"].tolist()) == {record_size}
+    if workload.insert_ratio:
+        assert max(key for _op, key in reference) >= capacity  # the wrap ran
