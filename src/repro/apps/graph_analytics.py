@@ -60,6 +60,11 @@ class GraphEngine:
         it is compiled once and cached on the graph object (the cache is
         keyed by the region base addresses, which repeat across sweep
         cells that map the same graph the same way).
+
+        The columns are filled with numpy, never as per-row Python lists,
+        which bounds the host memory of compiling a large graph: each
+        vertex's row count, a prefix sum for its first row, then
+        ``np.repeat`` fills for the edge-line and target-store rows.
         """
         esize = self.ELEMENT_SIZE
         line = self._line
@@ -78,33 +83,33 @@ class GraphEngine:
         if trace is not None:
             return trace
         graph = self.graph
-        indptr = graph.indptr.tolist()
-        indices = graph.indices.tolist()
-        addrs: list = []
-        sizes: list = []
-        ops: list = []
-        for vertex in range(graph.num_vertices):
-            first = indptr[vertex]
-            last = indptr[vertex + 1]
-            addrs.append(indptr_base + vertex * esize)
-            sizes.append(esize)
-            ops.append(0)
-            addrs.append(state_base + vertex * esize)
-            sizes.append(esize)
-            ops.append(0)
-            if last > first:
-                edge_addr = (first * esize // line) * line
-                end = last * esize
-                while edge_addr < end:
-                    addrs.append(edges_base + edge_addr)
-                    sizes.append(line)
-                    ops.append(0)
-                    edge_addr += line
-                if target_writes:
-                    for target in indices[first:last]:
-                        addrs.append(state_base + target * esize)
-                        sizes.append(esize)
-                        ops.append(1)
+        first, last = graph.indptr[:-1], graph.indptr[1:]
+        degrees = last - first
+        # A vertex streams the lines from the one holding its first edge
+        # through the one holding its last; none without out-edges.
+        first_line = first * esize // line
+        lines = np.where(degrees > 0, -(-last * esize // line) - first_line, 0)
+        counts = 2 + lines + (degrees if target_writes else 0)
+        starts = np.cumsum(counts) - counts
+        addrs = np.empty(int(counts.sum()), dtype=np.uint64)
+        sizes = np.full(addrs.shape[0], esize, dtype=np.uint32)
+        ops = np.zeros(addrs.shape[0], dtype=np.uint8)
+        vertex_offsets = np.arange(graph.num_vertices, dtype=np.int64) * esize
+        addrs[starts] = indptr_base + vertex_offsets
+        addrs[starts + 1] = state_base + vertex_offsets
+        # Row k of a vertex's line run sits at starts + 2 + k and reads
+        # line first_line + k: shift a global ramp by each run's origin.
+        ramp = np.arange(int(lines.sum()), dtype=np.int64)
+        run_origin = np.cumsum(lines) - lines
+        rows_at = np.repeat(starts + 2 - run_origin, lines) + ramp
+        addrs[rows_at] = edges_base + (np.repeat(first_line - run_origin, lines) + ramp) * line
+        sizes[rows_at] = line
+        if target_writes:
+            # Edge e of vertex v follows v's line run at offset e - first[v].
+            ramp = np.arange(graph.num_edges, dtype=np.int64)
+            rows_at = np.repeat(starts + 2 + lines - first, degrees) + ramp
+            addrs[rows_at] = state_base + graph.indices * esize
+            ops[rows_at] = OP_STORE
         trace = AccessTrace.from_columns(addrs, sizes, ops)
         cache[key] = trace
         return trace

@@ -73,11 +73,12 @@ from repro.engine.trace import OP_STORE, AccessTrace
 
 __all__ = ["ReplayResult", "replay"]
 
-#: Rows per numpy precompute chunk of the fused interpreter.  Chunking
-#: bounds the working set of the column arrays derived from the trace;
-#: results are chunk-size-invariant (the equivalence suite patches this
-#: to small values and compares).
-CHUNK_OPS = 65_536
+#: Rows per chunk of both replay modes.  Each chunk converts its columns
+#: to Python lists, so the chunk size bounds the host memory a replay
+#: takes on top of the trace itself; 4,096 rows costs no measurable CPU
+#: against larger chunks.  Results are chunk-size-invariant (the
+#: equivalence suite patches this to small values and compares).
+CHUNK_OPS = 4_096
 
 
 @dataclass
@@ -116,12 +117,14 @@ def replay(system: Any, trace: AccessTrace) -> ReplayResult:
 def _replay_scalar(system: Any, rows: np.ndarray, latencies: np.ndarray) -> None:
     """Reference mode: every row through the unmodified scalar ``_access``."""
     access = system._access
-    addr_list = rows["addr"].astype(np.int64).tolist()
-    size_list = rows["size"].astype(np.int64).tolist()
-    store_list = (rows["op"] == OP_STORE).tolist()
-    for index in range(rows.shape[0]):
-        result = access(addr_list[index], size_list[index], store_list[index], None)
-        latencies[index] = result.latency_ns
+    for start in range(0, rows.shape[0], CHUNK_OPS):
+        chunk = rows[start : start + CHUNK_OPS]
+        addr_list = chunk["addr"].astype(np.int64).tolist()
+        size_list = chunk["size"].astype(np.int64).tolist()
+        store_list = (chunk["op"] == OP_STORE).tolist()
+        for index in range(len(addr_list)):
+            result = access(addr_list[index], size_list[index], store_list[index], None)
+            latencies[start + index] = result.latency_ns
 
 
 def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:

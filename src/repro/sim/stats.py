@@ -132,8 +132,28 @@ class LatencyStats:
             self._samples.append(latency)
 
     def extend(self, latencies: Iterable[int]) -> None:
-        for latency in latencies:
-            self.record(latency)
+        """Record every sample in one update.
+
+        Equivalent to one :meth:`record` per sample, except that a
+        negative sample raises before any sample is recorded.
+        """
+        values = [int(latency) for latency in latencies]
+        if not values:
+            return
+        low = min(values)
+        if low < 0:
+            raise ValueError(f"negative latency recorded on {self.name!r}: {low}")
+        if race._ACTIVE is not None:
+            race._ACTIVE.note(self, "_count", "w")
+        self._count += len(values)
+        self._sum += sum(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        high = max(values)
+        if self._max is None or high > self._max:
+            self._max = high
+        if self.keep_samples:
+            self._samples.extend(values)
 
     def record_batch(self, latency_ns: int, count: int) -> None:
         """Record ``count`` identical samples in one update.

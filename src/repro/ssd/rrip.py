@@ -55,15 +55,14 @@ class RRIPSet:
             raise ValueError(
                 f"occupied has {len(occupied)} flags for {self.num_ways} ways"
             )
-        for way, used in enumerate(occupied):
-            if not used:
-                return way
-        while True:
-            for way in range(self.num_ways):
-                if self._rrpv[way] >= self.max_rrpv:
-                    return way
-            for way in range(self.num_ways):
-                self._rrpv[way] += 1
+        if False in occupied:
+            return occupied.index(False)
+        # Aging repeats until some way reaches max, so every way ages by
+        # the same amount: max minus the highest RRPV.  Age once by that.
+        age = self.max_rrpv - max(self._rrpv)
+        if age > 0:
+            self._rrpv = [rrpv + age for rrpv in self._rrpv]
+        return self._rrpv.index(self.max_rrpv)
 
     def reset_way(self, way: int) -> None:
         """Mark a way empty (its entry was invalidated)."""

@@ -163,23 +163,27 @@ def generate_transactions(
     if rng is None:
         rng = np.random.default_rng(17)
     records = table_bytes // spec.record_size
+    reads = spec.record_reads
+    # Draw in the per-transaction order (read set, write set, log size):
+    # the bounded-integer draw keeps half of a 64-bit output for its next
+    # call, so batching the draws per kind would change the stream.
+    uniform = np.empty((count, reads + spec.record_writes))
+    log_sizes = []
+    for row in uniform:
+        if reads:
+            row[:reads] = rng.random(reads)
+        if spec.record_writes:
+            row[reads:] = rng.random(spec.record_writes)
+        log_sizes.append(int(rng.integers(spec.log_bytes_min, spec.log_bytes_max + 1)))
     # Zipf-ish skew through a power transform of uniforms (cheap, smooth).
-    def skewed(count_needed: int) -> np.ndarray:
-        uniform = rng.random(count_needed)
-        ranks = np.power(uniform, 1.0 / max(1e-6, (1.0 - skew)))
-        return (ranks * records).astype(np.int64) % records
-
-    transactions: List[Transaction] = []
-    for _ in range(count):
-        reads = skewed(spec.record_reads) if spec.record_reads else np.array([], dtype=np.int64)
-        writes = skewed(spec.record_writes) if spec.record_writes else np.array([], dtype=np.int64)
-        log_bytes = int(rng.integers(spec.log_bytes_min, spec.log_bytes_max + 1))
-        transactions.append(
-            Transaction(
-                spec=spec,
-                read_offsets=[int(r) * spec.record_size for r in reads],
-                write_offsets=[int(w) * spec.record_size for w in writes],
-                log_bytes=log_bytes,
-            )
+    ranks = np.power(uniform, 1.0 / max(1e-6, (1.0 - skew)))
+    offsets = ((ranks * records).astype(np.int64) % records * spec.record_size).tolist()
+    return [
+        Transaction(
+            spec=spec,
+            read_offsets=row[:reads],
+            write_offsets=row[reads:],
+            log_bytes=log_bytes,
         )
-    return transactions
+        for row, log_bytes in zip(offsets, log_sizes)
+    ]

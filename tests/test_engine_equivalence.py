@@ -217,6 +217,30 @@ def test_fallback_under_instrumentation():
         sanitizers.set_default_enabled(previous)
 
 
+@pytest.mark.parametrize("kind_name", ["FlatFlash", "TraditionalStack"])
+def test_blocked_replay_crosses_chunk_boundaries(kind_name):
+    """The per-row reference walks the trace in CHUNK_OPS-row chunks; a
+    trace spanning several chunks replays like one _access per row."""
+    previous = sanitizers.set_default_enabled(True)
+    try:
+        rng = np.random.default_rng(6)
+        addrs = rng.integers(0, REGION_PAGES * page - 128, size=60).astype(np.int64)
+        trace = AccessTrace.interleaved_rw(addrs, 8)
+        scalar_system, _ = build_system(kind_name)
+        engine_system, _ = build_system(kind_name)
+        scalar_latencies = [
+            scalar_system._access(int(addr), int(size), bool(op), None).latency_ns
+            for addr, size, op in trace.rows.tolist()
+        ]
+        with mock.patch.object(replay_module, "CHUNK_OPS", 7):
+            result = replay(engine_system, trace)
+        assert result.blockers
+        assert result.latencies.tolist() == scalar_latencies
+        assert observable_state(scalar_system) == observable_state(engine_system)
+    finally:
+        sanitizers.set_default_enabled(previous)
+
+
 def test_raising_replay_leaves_scalar_state():
     """An unmapped row raises exactly like scalar, with stats flushed."""
     scalar_system, region = build_system("FlatFlash")

@@ -16,7 +16,10 @@ from repro.workloads.oltp import (
     TATP,
     TPCB,
     TPCC,
+    TPCC_MIX,
+    WORKLOADS,
     TransactionSpec,
+    generate_mixed_transactions,
     generate_transactions,
 )
 
@@ -109,3 +112,55 @@ class TestOLTP:
         bad = TransactionSpec("bad", 1, 1, 0, 10, 100)
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def per_transaction_draw(spec, count, table_bytes, skew, rng):
+    """Reference draw: one skew transform per read and write set."""
+    records = table_bytes // spec.record_size
+
+    def skewed(count_needed):
+        uniform = rng.random(count_needed)
+        ranks = np.power(uniform, 1.0 / max(1e-6, (1.0 - skew)))
+        return (ranks * records).astype(np.int64) % records
+
+    drawn = []
+    for _ in range(count):
+        reads = skewed(spec.record_reads) if spec.record_reads else []
+        writes = skewed(spec.record_writes) if spec.record_writes else []
+        log_bytes = int(rng.integers(spec.log_bytes_min, spec.log_bytes_max + 1))
+        drawn.append(
+            (
+                spec.name,
+                [int(r) * spec.record_size for r in reads],
+                [int(w) * spec.record_size for w in writes],
+                log_bytes,
+            )
+        )
+    return drawn
+
+
+def per_transaction_mix(mix, count, table_bytes, skew, rng):
+    weights = np.array([weight for _spec, weight in mix], dtype=np.float64)
+    drawn = []
+    for choice in rng.choice(len(mix), size=count, p=weights):
+        drawn.extend(per_transaction_draw(mix[int(choice)][0], 1, table_bytes, skew, rng))
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [17, 18, 19])
+@pytest.mark.parametrize("workload", ["TPCC", "TPCB", "TATP", "TPCC_MIX"])
+def test_transaction_draw_matches_per_transaction_loop(workload, seed):
+    table_bytes = 256 * 4_096
+    fast_rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    if workload == "TPCC_MIX":
+        drawn = generate_mixed_transactions(TPCC_MIX, 300, table_bytes, rng=fast_rng)
+        expected = per_transaction_mix(TPCC_MIX, 300, table_bytes, 0.6, reference_rng)
+    else:
+        spec = WORKLOADS[workload]
+        drawn = generate_transactions(spec, 300, table_bytes, rng=fast_rng)
+        expected = per_transaction_draw(spec, 300, table_bytes, 0.6, reference_rng)
+    assert [
+        (tx.spec.name, tx.read_offsets, tx.write_offsets, tx.log_bytes) for tx in drawn
+    ] == expected
+    assert fast_rng.bit_generator.state == reference_rng.bit_generator.state

@@ -1,11 +1,16 @@
 """Tests for the graph engine: results must be *correct*, not just timed."""
 
+import tracemalloc
+
 import numpy as np
 import networkx as nx
 import pytest
 
 from repro import DRAMOnly, FlatFlash, small_config
 from repro.apps.graph_analytics import GraphEngine
+from repro.engine import AccessTrace
+from repro.experiments.common import scaled_config
+from repro.sim import domain_tags, sanitizers
 from repro.workloads.graphs import CSRGraph, connected_pairs_graph, power_law_graph
 
 
@@ -179,3 +184,94 @@ class TestShardedPageRank:
             return engine.system.page_movements
 
         assert run(4) < run(None) / 5
+
+
+def per_vertex_iteration_trace(engine, target_writes):
+    """Reference compile: the per-vertex loop the numpy build replaced."""
+    esize = engine.ELEMENT_SIZE
+    line = engine._line
+    indptr_base = engine.indptr_region.addr(0)
+    edges_base = engine.edges_region.addr(0)
+    state_base = engine.state_region.addr(0)
+    indptr = engine.graph.indptr.tolist()
+    indices = engine.graph.indices.tolist()
+    addrs, sizes, ops = [], [], []
+    for vertex in range(engine.graph.num_vertices):
+        first = indptr[vertex]
+        last = indptr[vertex + 1]
+        addrs.append(indptr_base + vertex * esize)
+        sizes.append(esize)
+        ops.append(0)
+        addrs.append(state_base + vertex * esize)
+        sizes.append(esize)
+        ops.append(0)
+        if last > first:
+            edge_addr = (first * esize // line) * line
+            end = last * esize
+            while edge_addr < end:
+                addrs.append(edges_base + edge_addr)
+                sizes.append(line)
+                ops.append(0)
+                edge_addr += line
+            if target_writes:
+                for target in indices[first:last]:
+                    addrs.append(state_base + target * esize)
+                    sizes.append(esize)
+                    ops.append(1)
+    return AccessTrace.from_columns(addrs, sizes, ops)
+
+
+def sparse_graph(num_vertices, seed):
+    """Out-degrees 0, 1 or 5, so runs of zero-degree vertices sit between
+    edge lists that start mid-line."""
+    rng = np.random.default_rng(seed)
+    degrees = rng.choice([0, 0, 1, 5], size=num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = rng.integers(0, num_vertices, size=int(indptr[-1]))
+    return CSRGraph(num_vertices, indptr, indices.astype(np.int64))
+
+
+@pytest.mark.parametrize("cacheline_size", [64, 128])
+@pytest.mark.parametrize("target_writes", [True, False], ids=["pagerank", "vertex-scan"])
+@pytest.mark.parametrize(
+    "graph_factory",
+    [
+        lambda: power_law_graph(400, avg_degree=6, seed=31),
+        lambda: power_law_graph(400, avg_degree=9, seed=32),
+        lambda: power_law_graph(400, avg_degree=3, seed=33),
+        lambda: sparse_graph(300, seed=34),
+    ],
+    ids=["power-law-31", "power-law-32", "power-law-33", "sparse-zero-degree"],
+)
+def test_iteration_trace_matches_per_vertex_loop(graph_factory, target_writes, cacheline_size):
+    graph = graph_factory()
+    config = small_config(track_data=False)
+    config.geometry.cacheline_size = cacheline_size
+    engine = GraphEngine(FlatFlash(config.validate()), graph)
+    compiled = engine._iteration_trace(target_writes)
+    reference = per_vertex_iteration_trace(engine, target_writes)
+    assert compiled.rows.tobytes() == reference.rows.tobytes()
+
+
+def test_pagerank_replay_memory_stays_bounded():
+    """Compiling and replaying the perf benchmark's graph never holds
+    per-row Python lists for the whole trace: the compile fills numpy
+    columns, and replay converts CHUNK_OPS rows at a time."""
+    previous_sanitizers = sanitizers.set_default_enabled(False)
+    previous_tags = domain_tags.set_enabled(False)
+    try:
+        graph = power_law_graph(4_000, avg_degree=16.0, seed=101)
+        footprint_pages = -(-(graph.num_edges + 2 * graph.num_vertices) * 8 // 4_096)
+        config = scaled_config(dram_pages=max(8, footprint_pages // 3), ssd_to_dram=256)
+        engine = GraphEngine(FlatFlash(config), graph)
+        tracemalloc.start()
+        try:
+            engine.pagerank(iterations=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        sanitizers.set_default_enabled(previous_sanitizers)
+        domain_tags.set_enabled(previous_tags)
+    assert peak < 6_000_000

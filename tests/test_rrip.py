@@ -1,5 +1,7 @@
 """Tests for RRIP replacement state."""
 
+import random
+
 import pytest
 
 from repro.ssd.rrip import RRIPSet
@@ -98,3 +100,32 @@ def test_custom_rrpv_bits():
     assert rrip.max_rrpv == 7
     rrip.on_insert(0)
     assert rrip.rrpv_of(0) == 6
+
+
+def aging_loop_victim(rrpv, max_rrpv, occupied):
+    """Reference victim search: age every way by one until one is at max."""
+    for way, used in enumerate(occupied):
+        if not used:
+            return way
+    while True:
+        for way in range(len(rrpv)):
+            if rrpv[way] >= max_rrpv:
+                return way
+        for way in range(len(rrpv)):
+            rrpv[way] += 1
+
+
+@pytest.mark.parametrize("rrpv_bits", [1, 2, 3])
+@pytest.mark.parametrize("free_ways", [False, True], ids=["full", "with-free-ways"])
+def test_victim_matches_aging_loop(rrpv_bits, free_ways):
+    rng = random.Random(rrpv_bits * 2 + free_ways)
+    for _ in range(300):
+        num_ways = rng.randint(1, 16)
+        rrip = RRIPSet(num_ways, rrpv_bits=rrpv_bits)
+        states = [rng.randint(0, rrip.max_rrpv) for _ in range(num_ways)]
+        for way, rrpv in enumerate(states):
+            rrip._rrpv[way] = rrpv
+        occupied = [not free_ways or rng.random() < 0.7 for _ in range(num_ways)]
+        expected = aging_loop_victim(states, rrip.max_rrpv, occupied)
+        assert rrip.select_victim(occupied) == expected
+        assert [rrip.rrpv_of(way) for way in range(num_ways)] == states

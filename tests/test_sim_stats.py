@@ -143,6 +143,34 @@ class TestLatencyStats:
         stats.extend(samples)
         assert stats.percentile(25) <= stats.percentile(75) <= stats.percentile(100)
 
+    @pytest.mark.parametrize("keep_samples", [True, False])
+    @given(
+        before=st.lists(st.integers(min_value=0, max_value=10**9), max_size=5),
+        samples=st.lists(st.integers(min_value=0, max_value=10**9)),
+    )
+    def test_extend_equals_one_record_per_sample(self, keep_samples, before, samples):
+        extended = LatencyStats("l", keep_samples=keep_samples)
+        recorded = LatencyStats("l", keep_samples=keep_samples)
+        for latency in before:
+            extended.record(latency)
+            recorded.record(latency)
+        extended.extend(samples)
+        for latency in samples:
+            recorded.record(latency)
+
+        def summary(stats):
+            bounds = (stats.minimum, stats.maximum) if stats.count else None
+            return stats.count, stats.total, stats.mean, bounds, stats.samples
+
+        assert summary(extended) == summary(recorded)
+
+    def test_extend_rejects_a_negative_sample_before_recording(self):
+        stats = LatencyStats("l")
+        stats.record(7)
+        with pytest.raises(ValueError):
+            stats.extend([5, -1, 9])
+        assert (stats.count, stats.total, stats.samples) == (1, 7, [7])
+
 
 class TestStatRegistry:
     def test_counter_is_memoized(self):
