@@ -9,8 +9,9 @@ SF001–SF005).  Kinds come annotation-first from :mod:`repro.units`,
 then the sanctioned-translation registry, then identifier heuristics.
 
 Run it with ``python -m repro.analysis.simflow src/`` (exit 1 on
-findings) or through the :mod:`repro.analysis.analyze` umbrella.  The
-dynamic counterpart is :mod:`repro.sim.domain_tags`.
+findings) or through the :mod:`repro.analysis.analyze` umbrella.  It
+has no dynamic counterpart: the domain types are plain ``typing.NewType``
+aliases at run time.
 """
 
 from repro.analysis.findings import Violation

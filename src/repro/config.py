@@ -80,6 +80,13 @@ class LatencyConfig:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
+            # Simulated time is integral: a float latency would make the
+            # fused replay path (which sums raw latencies) disagree with
+            # SimClock.advance (which truncates each step).
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"latency {name} must be an integer ns count, got {value!r}"
+                )
             if value < 0:
                 raise ValueError(f"latency {name} must be >= 0, got {value}")
 

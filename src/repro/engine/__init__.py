@@ -15,8 +15,9 @@ Two phases behind the existing hierarchy API:
 
 :func:`fused_blockers` is the only selector between the fused path and
 the per-row scalar reference: it names the observable conditions
-(sanitizers, domain tags, the race detector, overridden access classes)
-under which a replay runs every row through ``system._access``.  Results
+(the race detector, an armed power-loss deadline, sequential prefetch,
+overridden access classes) under which a replay runs every row through
+``system._access``; the sanitizers check either path.  Results
 are byte-identical either way (tests/test_engine_equivalence.py and
 tests/test_sweep_equivalence.py enforce it).  See docs/engine.md.
 """

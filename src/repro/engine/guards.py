@@ -9,22 +9,23 @@ stock classes only, so :func:`fused_blockers` refuses any system whose
 access methods, TLB, page table or DRAM model differ from them.
 
 It also checks *dynamic* preconditions: no race detector shadowing
-field writes, no domain-tag checking (the fused path skips the no-op
-checks), no clock sanitizer or armed power-loss deadline (the fused path
-batches clock advances), and no sequential-prefetch stream detection (a
-per-access hook on the scalar path).  When any blocker is present the
-engine falls back to replaying the whole trace through
-``system._access`` — slower, never wrong.  These observable conditions
-are the only selector between the fused path and that per-row
-reference.  Exactness of the fused path itself is enforced by the
-differential suite in ``tests/test_engine_equivalence.py``.
+field writes, no armed power-loss deadline (the fused path batches clock
+advances, so the deadline would fire late), and no sequential-prefetch
+stream detection (a per-access hook on the scalar path).  The clock
+sanitizer is not a blocker: the fused path hands every batched advance
+to ``SimClock.advance``, where the sanitizer checks it.  When any
+blocker is present the engine falls back to replaying the whole trace
+through ``system._access`` — slower, never wrong.  These observable
+conditions are the only selector between the fused path and that
+per-row reference.  Exactness of the fused path itself is enforced by
+the differential suite in ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
 from typing import Any, List
 
-from repro.sim import domain_tags, race
+from repro.sim import race
 
 
 def fused_blockers(system: Any) -> List[str]:
@@ -75,14 +76,9 @@ def fused_blockers(system: Any) -> List[str]:
     # Dynamic hooks on the per-access path.
     if race._ACTIVE is not None:
         blockers.append("race detector active (field writes are shadowed)")
-    if domain_tags.enabled():
-        blockers.append("domain tags enabled (per-call checks are live)")
     clock = getattr(system, "clock", None)
-    if clock is not None:
-        if clock._sanitizer is not None:
-            blockers.append("clock sanitizer enabled (shadow time per advance)")
-        if clock._power_deadline is not None:
-            blockers.append("power-loss deadline armed (advance may raise)")
+    if clock is not None and clock._power_deadline is not None:
+        blockers.append("power-loss deadline armed (advance may raise)")
     if isinstance(system, FlatFlash) and system.config.promotion.sequential_prefetch:
         blockers.append("sequential prefetch enabled (per-access stream hook)")
     return blockers

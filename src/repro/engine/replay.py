@@ -54,11 +54,16 @@ The only scalar-visible state the interpreter keeps locally during a
 chunk is the clock (an int) and the commutative stat tallies; both are
 flushed in a ``finally`` so even a raising replay (unmapped address,
 injected fault) leaves the system exactly as the scalar loop would.
+Every clock sync — before a delegated access or a maintenance hook, and
+in the ``finally`` — hands the batched time to ``SimClock.advance``, so
+an attached clock sanitizer checks each batched advance (integral,
+non-negative, no tampering since the last sync).
 
-When :func:`repro.engine.guards.fused_blockers` names a reason (a
-sanitizer, domain tags, the race detector, an overridden access class),
-the whole trace instead runs row by row through ``system._access``
-(``_replay_scalar``), the per-row reference the fused path must match.
+When :func:`repro.engine.guards.fused_blockers` names a reason (the race
+detector, an armed power-loss deadline, sequential prefetch, an
+overridden access class), the whole trace instead runs row by row
+through ``system._access`` (``_replay_scalar``), the per-row reference
+the fused path must match.
 """
 
 from __future__ import annotations
@@ -208,7 +213,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                 if check_crossing and crossing_list[i]:
                     # Full scalar delegation: _access owns the chunk
                     # loop (and its own counters) for multi-page ops.
-                    clk._now = now
+                    clk.advance(now - clk._now)
                     try:
                         result = access(
                             vpn_list[i] * page_size + offset_list[i],
@@ -250,11 +255,11 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                         # (Settle/drain never demote a DRAM-resident PTE,
                         # so the dispatch above cannot be invalidated.)
                         if in_flight:
-                            clk._now = now
+                            clk.advance(now - clk._now)
                             settle()
                             now = clk._now
                         if ssd_remap:
-                            clk._now = now
+                            clk.advance(now - clk._now)
                             drain()
                             now = clk._now
                     frame = frames[pte.frame_index]
@@ -289,7 +294,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
 
                 # --- thin delegation: the order-dependent page access
                 # runs unmodified, wrapper bookkeeping stays batched ---
-                clk._now = now
+                clk.advance(now - clk._now)
                 try:
                     result = page_access(vpn, offset_list[i], size, is_write, None)
                 finally:
@@ -317,7 +322,6 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
 
             latencies[start : start + len(lat_list)] = lat_list
     finally:
-        clk._now = now
         if loads_tally:
             system._loads.add(loads_tally)
         if stores_tally:
@@ -336,5 +340,8 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
             for value, value_count in tally.items():
                 access_latency.record_batch(value, value_count)
                 by_source.record_batch(value, value_count)
+        # Last, so the stats are flushed even when a clock sanitizer
+        # rejects this advance.
+        clk.advance(now - clk._now)
 
     return fused_count

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Tuple
 
-from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import PFN, VPN, HostPage, TimeNs
 
@@ -80,7 +79,6 @@ class PageTable:
 
     def entry(self, vpn: VPN) -> PageTableEntry:
         """The PTE for ``vpn``, created on first reference."""
-        domain_tags.check(vpn, "VPN", "PageTable.entry")
         pte = self._entries.get(vpn)
         if pte is None:
             pte = PageTableEntry(vpn)
@@ -93,7 +91,6 @@ class PageTable:
 
     def walk(self, vpn: VPN) -> Tuple[PageTableEntry, TimeNs]:
         """A hardware page-table walk: returns (PTE, cost in ns)."""
-        domain_tags.check(vpn, "VPN", "PageTable.walk")
         self._walks.add()
         pte = self._entries.get(vpn)
         if pte is None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import PFN, HostPage, TimeNs
 
@@ -82,8 +81,6 @@ class PLB:
         self, ssd_tag: HostPage, mem_tag: PFN, num_lines: int, complete_at_ns: TimeNs
     ) -> Optional[PLBEntry]:
         """Begin tracking a promotion; None when the table is full."""
-        domain_tags.check(ssd_tag, "HOST_PAGE", "PLB.start")
-        domain_tags.check(mem_tag, "PFN", "PLB.start")
         if ssd_tag in self._by_ssd_tag:
             raise ValueError(f"promotion of SSD page {ssd_tag} already in flight")
         if not self.has_free_entry:

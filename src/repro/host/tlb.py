@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.units import VPN, TimeNs
 
@@ -53,7 +52,6 @@ class TLB:
 
     def fill(self, vpn: VPN) -> None:
         """Install a translation after a walk, evicting LRU if full."""
-        domain_tags.check(vpn, "VPN", "TLB.fill")
         if vpn in self._cached:
             self._cached.move_to_end(vpn)
             return

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Protocol, Tuple
 from repro.config import FlatFlashConfig
 from repro.faults.plan import FaultInjector
 from repro.interconnect.pcie import BarWindow, PCIeLink
-from repro.sim import domain_tags
 from repro.sim.sanitizers import FlashSanitizer, PersistenceSanitizer
 from repro.sim.stats import StatRegistry
 from repro.ssd.flash import FlashArray
@@ -240,7 +239,6 @@ class ByteAddressableSSD:
         a flash ppn, in device-FTL mode it *is* the lpn.  The explicit
         domain casts are the permission slip for that reinterpretation.
         """
-        domain_tags.check(host_page, "HOST_PAGE", "ByteAddressableSSD.resolve_lpn")
         if self.host_merged_ftl:
             # The pun proper: reinterpret the BAR page number as a flash
             # ppn first, then chase any pending GC relocations (the remap
@@ -257,7 +255,6 @@ class ByteAddressableSSD:
 
     def host_page_of(self, lpn: LPN) -> HostPage:
         """Current host-visible page number for an lpn (inverse pun)."""
-        domain_tags.check(lpn, "LPN", "ByteAddressableSSD.host_page_of")
         if self.host_merged_ftl:
             return HostPage(self.ftl.lookup(lpn))
         return HostPage(lpn)

@@ -16,7 +16,6 @@ import enum
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import LatencyConfig
-from repro.sim import domain_tags
 from repro.sim.sanitizers import FlashSanitizer
 from repro.sim.stats import StatRegistry
 from repro.units import PPN, BlockIndex
@@ -164,7 +163,6 @@ class FlashArray:
         self._wear_retired = self.stats.counter("flash.wear_retired_blocks")
 
     def _check_ppn(self, ppn: PPN) -> None:
-        domain_tags.check(ppn, "PPN", "FlashArray")
         if not 0 <= ppn < self.total_pages:
             raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
 
@@ -248,7 +246,6 @@ class FlashArray:
     def erase(self, block_index: BlockIndex) -> "FlashOp":
         """Erase a whole block.  Erasing a block with valid pages raises —
         the GC must relocate them first."""
-        domain_tags.check(block_index, "BLOCK", "FlashArray.erase")
         if not 0 <= block_index < self.num_blocks:
             raise ValueError(f"block {block_index} out of range [0, {self.num_blocks})")
         block = self.blocks[block_index]

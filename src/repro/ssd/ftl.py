@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.ssd.flash import FlashArray, FlashBlock, FlashOp, FlashPageState
 from repro.units import LPN, PPN, BlockIndex, TimeNs
@@ -95,7 +94,6 @@ class PageFTL:
     # ------------------------------------------------------------------ #
 
     def _check_lpn(self, lpn: LPN) -> None:
-        domain_tags.check(lpn, "LPN", "PageFTL")
         if not 0 <= lpn < self.exported_pages:
             raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
 
@@ -113,7 +111,6 @@ class PageFTL:
 
     def lpn_of(self, ppn: PPN) -> Optional[LPN]:
         """Reverse lookup: which lpn currently lives at this ppn."""
-        domain_tags.check(ppn, "PPN", "PageFTL.lpn_of")
         lpn = self.reverse.get(ppn)
         return None if lpn is None else LPN(lpn)
 

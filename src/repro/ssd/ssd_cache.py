@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.sim import domain_tags
 from repro.sim.stats import StatRegistry
 from repro.ssd.rrip import RRIPSet
 from repro.units import LPN, OffsetBytes
@@ -123,7 +122,6 @@ class SSDCache:
 
     def lookup(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page; a hit refreshes the replacement state."""
-        domain_tags.check(lpn, "LPN", "SSDCache.lookup")
         slot = self._where.get(lpn)
         if slot is None:
             self._hit_ratio.record(False)
@@ -135,7 +133,6 @@ class SSDCache:
 
     def peek(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page without touching replacement or hit stats."""
-        domain_tags.check(lpn, "LPN", "SSDCache.peek")
         slot = self._where.get(lpn)
         if slot is None:
             return None

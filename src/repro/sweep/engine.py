@@ -23,7 +23,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.sim import domain_tags, sanitizers
+from repro.sim import sanitizers
 from repro.sweep.cache import KeyBuilder, SweepCache
 from repro.sweep.model import CellResult, result_hash
 from repro.sweep.registry import Cell, Registry, call_cell, default_registry
@@ -59,10 +59,9 @@ class SweepReport:
         raise KeyError(f"no cell {name!r} in this sweep")
 
 
-def _worker_init(sanitizers_on: bool, tags_on: bool) -> None:
-    """Propagate the parent's process-wide switches into a spawn worker."""
+def _worker_init(sanitizers_on: bool) -> None:
+    """Propagate the parent's process-wide sanitizer switch into a spawn worker."""
     sanitizers.set_default_enabled(sanitizers_on)
-    domain_tags.set_enabled(tags_on)
 
 
 def _pool_execute(
@@ -128,7 +127,7 @@ def run_sweep(
             max_workers=jobs,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_worker_init,
-            initargs=(sanitizers.default_enabled(), domain_tags.enabled()),
+            initargs=(sanitizers.default_enabled(),),
         )
     try:
         in_flight: Dict[object, "tuple[str, Optional[str]]"] = {}

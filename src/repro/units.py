@@ -23,9 +23,7 @@ type                    measures                    layer
 :data:`TimeCycles`      CPU cycles                  —
 ======================  ==========================  ===============
 
-Each name is a :class:`DomainType` — the runtime shape of
-``typing.NewType`` (callable, ``__supertype__ = int``) so it can be
-used in annotations exactly like a NewType::
+Each name is a ``typing.NewType`` over ``int``, used in annotations::
 
     def lookup(self, lpn: LPN) -> PPN: ...
 
@@ -37,18 +35,15 @@ every call site against them.
 Calling a domain type is a **sanctioned cast**: ``LPN(vpn)`` says "this
 int now means a logical page" (e.g. regions tile the SSD's logical
 space linearly, so the vpn→lpn map is the identity — but the *claim*
-must be written down).  simflow treats these calls as translation
-points; with shadow tagging enabled (:mod:`repro.sim.domain_tags`) they
-also attach a runtime tag so an lpn smuggled into a ppn slot raises at
-the point of mixing instead of corrupting the FTL silently.
+must be written down).  At run time the call returns its argument
+unchanged; simflow treats it as a translation point.
 """
 
 from __future__ import annotations
 
-from repro.sim import domain_tags
+from typing import NewType
 
 __all__ = [
-    "DomainType",
     "VPN",
     "PFN",
     "HostPage",
@@ -63,59 +58,29 @@ __all__ = [
     "DOMAIN_TYPES",
 ]
 
-
-class DomainType:
-    """A NewType-shaped marker for one address/unit domain over ``int``.
-
-    Mirrors ``typing.NewType("X", int)`` closely enough for annotation
-    use (``__supertype__``, ``__name__``, identity call) while staying
-    an ordinary object we can hook: when shadow tagging is enabled the
-    call wraps its argument in a :class:`~repro.sim.domain_tags.TaggedInt`.
-    """
-
-    __slots__ = ("__name__", "kind")
-
-    #: NewType-compatibility: the underlying representation type.
-    __supertype__ = int
-
-    def __init__(self, name: str, kind: str) -> None:
-        self.__name__ = name
-        #: The simflow kind this type denotes (e.g. ``"LPN"``).
-        self.kind = kind
-
-    def __call__(self, value: int) -> int:
-        return domain_tags.tag(value, self.kind)
-
-    def __repr__(self) -> str:
-        return f"repro.units.{self.__name__}"
-
-
-VPN = DomainType("VPN", "VPN")
-PFN = DomainType("PFN", "PFN")
-HostPage = DomainType("HostPage", "HOST_PAGE")
-LPN = DomainType("LPN", "LPN")
-PPN = DomainType("PPN", "PPN")
-BlockIndex = DomainType("BlockIndex", "BLOCK")
-OffsetBytes = DomainType("OffsetBytes", "OFFSET_BYTES")
-SizePages = DomainType("SizePages", "SIZE_PAGES")
-TimeNs = DomainType("TimeNs", "TIME_NS")
-TimeUs = DomainType("TimeUs", "TIME_US")
-TimeCycles = DomainType("TimeCycles", "TIME_CYCLES")
+VPN = NewType("VPN", int)
+PFN = NewType("PFN", int)
+HostPage = NewType("HostPage", int)
+LPN = NewType("LPN", int)
+PPN = NewType("PPN", int)
+BlockIndex = NewType("BlockIndex", int)
+OffsetBytes = NewType("OffsetBytes", int)
+SizePages = NewType("SizePages", int)
+TimeNs = NewType("TimeNs", int)
+TimeUs = NewType("TimeUs", int)
+TimeCycles = NewType("TimeCycles", int)
 
 #: Annotation name -> simflow kind, consumed by the static analysis.
 DOMAIN_TYPES = {
-    t.__name__: t.kind
-    for t in (
-        VPN,
-        PFN,
-        HostPage,
-        LPN,
-        PPN,
-        BlockIndex,
-        OffsetBytes,
-        SizePages,
-        TimeNs,
-        TimeUs,
-        TimeCycles,
-    )
+    "VPN": "VPN",
+    "PFN": "PFN",
+    "HostPage": "HOST_PAGE",
+    "LPN": "LPN",
+    "PPN": "PPN",
+    "BlockIndex": "BLOCK",
+    "OffsetBytes": "OFFSET_BYTES",
+    "SizePages": "SIZE_PAGES",
+    "TimeNs": "TIME_NS",
+    "TimeUs": "TIME_US",
+    "TimeCycles": "TIME_CYCLES",
 }

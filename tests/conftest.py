@@ -4,17 +4,15 @@ Runtime invariant sanitizers (repro.sim.sanitizers) are opt-in for library
 users but enabled for the whole test suite: every Simulator, FlashArray,
 SimClock and SSDDevice built by a test carries its shadow-state checkers,
 so an invariant break anywhere in a test run fails loudly at the breaking
-operation instead of corrupting results silently.
-
-Shadow domain tags (repro.sim.domain_tags, the dynamic counterpart of
-the simflow static analysis) are enabled the same way: every vpn / lpn /
-ppn that flows out of a translation cast carries its address domain, and
-mixing domains raises at the mixing operation in any test.
+operation instead of corrupting results silently.  None of them blocks
+the fused replay path (repro.engine.guards), so trace replays in the
+suite run the same fused code as the experiments and the benchmark, with
+the clock sanitizer checking every batched clock advance.
 """
 
 import pytest
 
-from repro.sim import domain_tags, sanitizers
+from repro.sim import sanitizers
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -22,10 +20,3 @@ def _enable_sanitizers():
     previous = sanitizers.set_default_enabled(True)
     yield
     sanitizers.set_default_enabled(previous)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _enable_domain_tags():
-    previous = domain_tags.set_enabled(True)
-    yield
-    domain_tags.set_enabled(previous)

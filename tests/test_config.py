@@ -30,9 +30,10 @@ def test_small_config_unknown_override_rejected():
         small_config(nonsense=True)
 
 
-def test_negative_latency_rejected():
-    latency = LatencyConfig(dram_load_ns=-1)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("value", [-1, 100.5, True])
+def test_negative_latency_rejected(value):
+    latency = LatencyConfig(dram_load_ns=value)
+    with pytest.raises(ValueError, match="dram_load_ns"):
         latency.validate()
 
 

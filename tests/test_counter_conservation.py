@@ -18,9 +18,9 @@ Two legs are zero in every full-system run (:data:`DEAD_LEGS`), so the
 rows naming them cannot fire yet; the test pins them at zero so that
 whoever brings one to life has to revisit its row.
 
-The suite-wide sanitizer/domain-tag instrumentation is switched off here
-(module fixture), as in ``test_engine_equivalence.py``: with it on,
-:func:`repro.engine.guards.fused_blockers` forces the scalar fallback.
+Both runs keep the suite-wide sanitizers on; they do not block the fused
+path (:func:`repro.engine.guards.fused_blockers`), so the clock sanitizer
+checks every batched clock advance of the fused replay.
 """
 
 import operator
@@ -32,7 +32,6 @@ from repro.baselines import TraditionalStack, UnifiedMMap
 from repro.config import FaultConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
-from repro.sim import domain_tags, sanitizers
 
 #: The link fault rates of the ``pcie_storm`` campaign scenario.
 PCIE_STORM = dict(
@@ -83,16 +82,6 @@ DEAD_LEGS = {
 COMPARE = {"==": operator.eq, "<=": operator.le}
 REGION_PAGES = 96
 PAGE = 4096
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _plain_simulators():
-    """Shadow instrumentation off, so the fused fast path actually runs."""
-    previous_sanitizers = sanitizers.set_default_enabled(False)
-    previous_tags = domain_tags.set_enabled(False)
-    yield
-    sanitizers.set_default_enabled(previous_sanitizers)
-    domain_tags.set_enabled(previous_tags)
 
 
 def leg(stats, name):

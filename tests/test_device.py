@@ -33,7 +33,7 @@ class TestMapping:
     def test_host_merged_mode_exposes_ppns(self, device):
         host_page, _ = device.map_page(5)
         # The BAR page number *is* the ppn — asserted through the
-        # sanctioned pun cast so the domain tags agree.
+        # sanctioned pun cast.
         assert HostPage(device.ftl.lookup(5)) == host_page
 
     def test_device_ftl_mode_exposes_lpns(self):

@@ -15,10 +15,11 @@ must each be caught at the expected assertion.  The last two mutate
 scalar kernels the fused path inlines, so this suite is what ties the
 inlined copies to their originals.
 
-The suite-wide sanitizer/domain-tag instrumentation is switched off here
-(module fixture): with it on, :func:`repro.engine.guards.fused_blockers`
-forces the whole-trace scalar fallback, which is exercised separately in
-``test_fallback_under_instrumentation``.
+The suite-wide sanitizers stay on: they do not block the fused path, so
+the clock sanitizer checks every batched advance of each fused replay
+here.  The whole-trace per-row reference is forced on purpose by
+patching :func:`repro.engine.guards.fused_blockers` on the replay module
+(``test_blocked_replay_crosses_chunk_boundaries``).
 """
 
 import importlib
@@ -35,7 +36,7 @@ from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.host.page_table import PageTable
 from repro.host.tlb import TLB
-from repro.sim import domain_tags, sanitizers
+from repro.sim import sanitizers
 
 # The package re-exports the replay *function* under the submodule's
 # name, so fetch the module itself for monkeypatching internals.
@@ -51,15 +52,10 @@ REGION_PAGES = 24
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _plain_simulators():
-    """Shadow instrumentation off, so the fused fast path actually runs;
-    tiny replay chunks, so chunk boundaries fall inside every trace."""
-    previous_sanitizers = sanitizers.set_default_enabled(False)
-    previous_tags = domain_tags.set_enabled(False)
+def _small_chunks():
+    """Tiny replay chunks, so chunk boundaries fall inside every trace."""
     with mock.patch.object(replay_module, "CHUNK_OPS", 64):
         yield
-    sanitizers.set_default_enabled(previous_sanitizers)
-    domain_tags.set_enabled(previous_tags)
 
 
 def build_system(kind_name, track_data=False):
@@ -198,19 +194,23 @@ def test_promotion_decisions_match():
     assert observable_state(scalar_system) == observable_state(engine_system)
 
 
-def test_fallback_under_instrumentation():
-    """Sanitizers active -> whole-trace scalar fallback, still exact."""
+def test_fused_path_runs_under_sanitizers():
+    """Sanitizers active -> still the fused path, and still exact.
+
+    TraditionalStack faults each page into DRAM on first touch, so the
+    trace's repeat visits are DRAM hits the fused path serves."""
     previous = sanitizers.set_default_enabled(True)
     try:
         rng = np.random.default_rng(5)
         addrs = rng.integers(0, REGION_PAGES * page - 128, size=60).astype(np.int64)
         trace = AccessTrace.interleaved_rw(addrs, 8)
-        scalar_system, _ = build_system("FlatFlash")
-        engine_system, _ = build_system("FlatFlash")
+        scalar_system, _ = build_system("TraditionalStack")
+        engine_system, _ = build_system("TraditionalStack")
+        assert engine_system.clock._sanitizer is not None
         scalar_latencies = run_scalar(scalar_system, trace)
         result = replay(engine_system, trace)
-        assert result.blockers  # fused mode refused, not silently wrong
-        assert result.fused_ops == 0
+        assert result.blockers == []
+        assert result.fused_ops > 0
         assert result.latencies.tolist() == scalar_latencies
         assert observable_state(scalar_system) == observable_state(engine_system)
     finally:
@@ -221,24 +221,23 @@ def test_fallback_under_instrumentation():
 def test_blocked_replay_crosses_chunk_boundaries(kind_name):
     """The per-row reference walks the trace in CHUNK_OPS-row chunks; a
     trace spanning several chunks replays like one _access per row."""
-    previous = sanitizers.set_default_enabled(True)
-    try:
-        rng = np.random.default_rng(6)
-        addrs = rng.integers(0, REGION_PAGES * page - 128, size=60).astype(np.int64)
-        trace = AccessTrace.interleaved_rw(addrs, 8)
-        scalar_system, _ = build_system(kind_name)
-        engine_system, _ = build_system(kind_name)
-        scalar_latencies = [
-            scalar_system._access(int(addr), int(size), bool(op), None).latency_ns
-            for addr, size, op in trace.rows.tolist()
-        ]
+    rng = np.random.default_rng(6)
+    addrs = rng.integers(0, REGION_PAGES * page - 128, size=60).astype(np.int64)
+    trace = AccessTrace.interleaved_rw(addrs, 8)
+    scalar_system, _ = build_system(kind_name)
+    engine_system, _ = build_system(kind_name)
+    scalar_latencies = [
+        scalar_system._access(int(addr), int(size), bool(op), None).latency_ns
+        for addr, size, op in trace.rows.tolist()
+    ]
+    forced = ["per-row reference forced by the equivalence suite"]
+    with mock.patch.object(replay_module, "fused_blockers", lambda system: forced):
         with mock.patch.object(replay_module, "CHUNK_OPS", 7):
             result = replay(engine_system, trace)
-        assert result.blockers
-        assert result.latencies.tolist() == scalar_latencies
-        assert observable_state(scalar_system) == observable_state(engine_system)
-    finally:
-        sanitizers.set_default_enabled(previous)
+    assert result.blockers == forced
+    assert result.fused_ops == 0
+    assert result.latencies.tolist() == scalar_latencies
+    assert observable_state(scalar_system) == observable_state(engine_system)
 
 
 def test_raising_replay_leaves_scalar_state():

@@ -10,7 +10,6 @@ from repro import DRAMOnly, FlatFlash, small_config
 from repro.apps.graph_analytics import GraphEngine
 from repro.engine import AccessTrace
 from repro.experiments.common import scaled_config
-from repro.sim import domain_tags, sanitizers
 from repro.workloads.graphs import CSRGraph, connected_pairs_graph, power_law_graph
 
 
@@ -258,20 +257,14 @@ def test_pagerank_replay_memory_stays_bounded():
     """Compiling and replaying the perf benchmark's graph never holds
     per-row Python lists for the whole trace: the compile fills numpy
     columns, and replay converts CHUNK_OPS rows at a time."""
-    previous_sanitizers = sanitizers.set_default_enabled(False)
-    previous_tags = domain_tags.set_enabled(False)
+    graph = power_law_graph(4_000, avg_degree=16.0, seed=101)
+    footprint_pages = -(-(graph.num_edges + 2 * graph.num_vertices) * 8 // 4_096)
+    config = scaled_config(dram_pages=max(8, footprint_pages // 3), ssd_to_dram=256)
+    engine = GraphEngine(FlatFlash(config), graph)
+    tracemalloc.start()
     try:
-        graph = power_law_graph(4_000, avg_degree=16.0, seed=101)
-        footprint_pages = -(-(graph.num_edges + 2 * graph.num_vertices) * 8 // 4_096)
-        config = scaled_config(dram_pages=max(8, footprint_pages // 3), ssd_to_dram=256)
-        engine = GraphEngine(FlatFlash(config), graph)
-        tracemalloc.start()
-        try:
-            engine.pagerank(iterations=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        engine.pagerank(iterations=1)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        sanitizers.set_default_enabled(previous_sanitizers)
-        domain_tags.set_enabled(previous_tags)
+        tracemalloc.stop()
     assert peak < 6_000_000

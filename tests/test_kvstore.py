@@ -5,7 +5,6 @@ import pytest
 from repro import DRAMOnly, FlatFlash, TraditionalStack, UnifiedMMap, small_config
 from repro.apps import kvstore as kvstore_module
 from repro.apps.kvstore import KVStore, run_ycsb
-from repro.sim import domain_tags, sanitizers
 from repro.workloads.ycsb import YCSB_B, YCSB_D, OpType, generate_ops
 
 
@@ -85,19 +84,9 @@ def test_kvstore_on_dram_only_is_fast():
     assert stats.mean < 1_000  # all-DRAM: sub-microsecond
 
 
-@pytest.fixture
-def plain_simulators():
-    """Shadow instrumentation off, so replay takes the fused path."""
-    previous_sanitizers = sanitizers.set_default_enabled(False)
-    previous_tags = domain_tags.set_enabled(False)
-    yield
-    sanitizers.set_default_enabled(previous_sanitizers)
-    domain_tags.set_enabled(previous_tags)
-
-
 @pytest.mark.parametrize("workload", [YCSB_B, YCSB_D], ids=lambda w: w.name)
 @pytest.mark.parametrize("system_cls", [FlatFlash, UnifiedMMap, TraditionalStack, DRAMOnly])
-def test_run_ycsb_equals_per_op_get_put(plain_simulators, monkeypatch, system_cls, workload):
+def test_run_ycsb_equals_per_op_get_put(monkeypatch, system_cls, workload):
     """run_ycsb's compiled replay is exactly a get/put loop over generate_ops.
 
     Capacity sits just above ``num_records``, so YCSB-D's inserts run past

@@ -6,10 +6,12 @@ naming the offending page / lock / time, at the operation that breaks the
 invariant rather than at the end of the run.
 """
 
+import numpy as np
 import pytest
 
-from repro import FlatFlash, create_pmem_region, small_config
+from repro import FlatFlash, TraditionalStack, create_pmem_region, small_config
 from repro.config import LatencyConfig
+from repro.engine import AccessTrace, fused_blockers, replay
 from repro.host.bridge import HostBridge
 from repro.interconnect.pcie import BarWindow
 from repro.sim import sanitizers
@@ -127,6 +129,28 @@ def test_clock_detects_tampered_state():
     clock._now = 42  # corrupt the clock behind the sanitizer's back
     with pytest.raises(ClockSanitizerError, match="t=42ns.*t=100ns"):
         clock.advance(10)
+
+
+def test_clock_detects_tampering_on_the_fused_replay_path():
+    """The fused replay hands each batched advance to the clock, so a
+    delegated access that rewinds the clock is caught at the next sync."""
+    system = TraditionalStack(small_config(sanitizers=SanitizerConfig.all()))
+    region = system.mmap(4)
+    real_access_page = system._access_page
+
+    def rewinding_access_page(*args):
+        result = real_access_page(*args)
+        system.clock._now -= 1
+        return result
+
+    system._access_page = rewinding_access_page
+    # Page 0 faults in (delegated), its revisit is a DRAM hit (fused),
+    # then page 1 faults (delegated) and syncs the clock first.
+    pages = np.array([0, 0, 1, 1], dtype=np.int64)
+    trace = AccessTrace.loads(region.addr(0) + pages * region.page_size, 8)
+    assert fused_blockers(system) == []
+    with pytest.raises(ClockSanitizerError, match="tampered"):
+        replay(system, trace)
 
 
 def test_clock_clean_integer_advances():

@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro.analysis.simflow import RULES, analyze_paths, analyze_source
 
 
@@ -103,19 +105,53 @@ def test_sf001_clean_address_plus_plain_offset():
 # --------------------------------------------------------------------- #
 
 
-def test_sf002_flags_lpn_passed_as_ppn():
-    violations = check(
-        """
-        def read_flash(ppn):
-            return ppn
+@pytest.mark.parametrize(
+    "snippet, callee",
+    [
+        (
+            """
+            def read_flash(ppn):
+                return ppn
 
-        def caller(lpn):
-            return read_flash(lpn)
-        """,
-        select=["SF002"],
-    )
+            def caller(lpn):
+                return read_flash(lpn)
+            """,
+            "read_flash",
+        ),
+        (
+            # A `-> LPN` return reaches the NAND read through a neutral name.
+            """
+            from repro.units import LPN, HostPage
+
+            class Device:
+                def logical_page(self, host_page: HostPage) -> LPN:
+                    return LPN(host_page)
+
+                def bad(self, host_page: HostPage):
+                    page = self.logical_page(host_page)
+                    return self.flash.read(page)
+            """,
+            "read",
+        ),
+        (
+            # The mirror image: the FTL's physical page as an SSD-Cache key.
+            """
+            from repro.units import LPN
+
+            class Device:
+                def bad(self, lpn: LPN):
+                    ppn = self.ftl.lookup(lpn)
+                    return self.cache.lookup(ppn)
+            """,
+            "lookup",
+        ),
+    ],
+    ids=["function-call", "lpn-into-flash-read", "ppn-into-cache-lookup"],
+)
+def test_sf002_flags_lpn_passed_as_ppn(snippet, callee):
+    violations = check(snippet, select=["SF002"])
     assert codes(violations) == ["SF002"]
-    assert "read_flash" in violations[0].message
+    assert f"{callee}()" in violations[0].message
 
 
 def test_sf002_clean_matching_argument():
@@ -154,8 +190,9 @@ def test_sf002_annotation_on_callee_wins_over_its_name():
 # --------------------------------------------------------------------- #
 
 
-def test_sf003_flags_vpn_into_ssd_layer():
-    violations = check(
+@pytest.mark.parametrize(
+    "snippet",
+    [
         """
         def lookup_lpn(lpn):
             return lpn
@@ -163,8 +200,18 @@ def test_sf003_flags_vpn_into_ssd_layer():
         def caller(vpn):
             return lookup_lpn(vpn)
         """,
-        select=["SF003"],
-    )
+        """
+        from repro.units import VPN
+
+        class Device:
+            def bad(self, vpn: VPN):
+                return self.ftl.map_page(vpn)
+        """,
+    ],
+    ids=["function-call", "vpn-into-ftl-map-page"],
+)
+def test_sf003_flags_vpn_into_ssd_layer(snippet):
+    violations = check(snippet, select=["SF003"])
     assert codes(violations) == ["SF003"]
     assert "host" in violations[0].message
     assert "ssd" in violations[0].message

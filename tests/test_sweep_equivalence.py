@@ -11,7 +11,7 @@ its cells and document must match the fused sweep's exactly.
 
 The sweeps dominate the suite's runtime, so they are module-scoped
 fixtures computed once, with the (orthogonal, separately tested)
-sanitizer and domain-tag instrumentation switched off.
+sanitizers switched off.
 """
 
 import importlib
@@ -19,7 +19,7 @@ import importlib
 import pytest
 
 from repro.experiments import run_all
-from repro.sim import domain_tags, sanitizers
+from repro.sim import sanitizers
 from repro.sweep.document import HEADER, assemble, document_cells
 from repro.sweep.engine import run_sweep
 from repro.sweep.model import result_hash
@@ -30,13 +30,11 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def _plain_simulators():
-    """Run the sweeps without shadow instrumentation (it is orthogonal to
-    scheduling and roughly doubles two already-full experiment runs)."""
+    """Run the sweeps without the sanitizers (they are orthogonal to
+    scheduling and roughly double two already-full experiment runs)."""
     previous_sanitizers = sanitizers.set_default_enabled(False)
-    previous_tags = domain_tags.set_enabled(False)
     yield
     sanitizers.set_default_enabled(previous_sanitizers)
-    domain_tags.set_enabled(previous_tags)
 
 
 @pytest.fixture(scope="module")
