@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint flow race faults bench experiments sweep examples all clean
+.PHONY: install test lint race faults bench experiments sweep examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -8,8 +8,8 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The umbrella runs simlint, simrace and simflow once over src/ and audits
-# stale suppressions; ruff runs when installed (CI installs it via the dev
+# The front end runs simlint and simflow once over src/ and audits stale
+# suppressions; ruff runs when installed (CI installs it via the dev
 # extras, bare environments may not).
 lint:
 	$(PYTHON) -m repro.analysis.analyze --check-suppressions src/
@@ -19,12 +19,8 @@ lint:
 		echo "ruff not installed; skipping (pip install -e '.[dev]')"; \
 	fi
 
-# Address-space & unit flow analysis alone (also part of `make lint`).
-flow:
-	$(PYTHON) -m repro.analysis.simflow src/
-
-# Dynamic half of simrace: perturb DES schedules on the tiny OLTP config
-# and fail on any undocumented schedule-dependent stat.
+# Race check: perturb DES schedules on the tiny OLTP config and fail on
+# any undocumented schedule-dependent stat.
 race:
 	$(PYTHON) -m repro race --seeds 5
 

@@ -14,7 +14,9 @@ Two entry points share one measurement core:
   absolute noise floor so sub-50 ms analyzers can't trip the guard on
   scheduler jitter.
 
-All three analyzers are per-file and are timed over ``src/repro``.
+Each entry of :data:`repro.analysis.analyze.TOOLS` (simlint, simflow) is
+timed on its own over ``src/repro``, reading each file as the front end
+does.
 """
 
 from __future__ import annotations
@@ -23,39 +25,28 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.analysis.analyze import TOOLS  # noqa: E402
+from repro.analysis.findings import iter_python_files  # noqa: E402
+
 ANALYZE_PATHS = [str(SRC / "repro")]
 
 
-def _simlint() -> int:
-    from repro.analysis.simlint.engine import lint_paths
+def _run_tool(analyze: Callable[..., list]) -> int:
+    """Read and analyze every file under ``ANALYZE_PATHS``; #findings."""
+    return sum(
+        len(analyze(path.read_text(encoding="utf-8"), path=str(path)))
+        for path in iter_python_files(ANALYZE_PATHS)
+    )
 
-    return len(lint_paths(ANALYZE_PATHS))
-
-
-def _simrace() -> int:
-    from repro.analysis.simrace.engine import analyze_paths
-
-    return len(analyze_paths(ANALYZE_PATHS))
-
-
-def _simflow() -> int:
-    from repro.analysis.simflow.engine import analyze_paths
-
-    return len(analyze_paths(ANALYZE_PATHS))
-
-
-ANALYZERS: Tuple[Tuple[str, Callable[[], int]], ...] = (
-    ("simlint", _simlint),
-    ("simrace", _simrace),
-    ("simflow", _simflow),
-)
 
 #: Per-analyzer slowdown budget for ``--check`` (new > 2x old fails).
 SLOWDOWN_LIMIT = 2.0
@@ -69,9 +60,9 @@ NOISE_FLOOR_SECONDS = 0.05
 def time_analyzers() -> Dict[str, Dict[str, float]]:
     """Run every analyzer once; returns {name: {seconds, result}}."""
     timings: Dict[str, Dict[str, float]] = {}
-    for name, run in ANALYZERS:
+    for name, analyze in TOOLS:
         start = time.perf_counter()
-        result = run()
+        result = _run_tool(analyze)
         elapsed = time.perf_counter() - start
         timings[name] = {"seconds": round(elapsed, 4), "result": result}
     return timings
@@ -82,16 +73,11 @@ def time_analyzers() -> Dict[str, Dict[str, float]]:
 # --------------------------------------------------------------------------
 
 
-def test_bench_simlint(once):
-    assert once(_simlint) == 0
-
-
-def test_bench_simrace(once):
-    assert once(_simrace) == 0
-
-
-def test_bench_simflow(once):
-    assert once(_simflow) == 0
+@pytest.mark.parametrize(
+    "analyze", [pytest.param(analyze, id=name) for name, analyze in TOOLS]
+)
+def test_bench_analyzer(once, analyze):
+    assert once(_run_tool, analyze) == 0
 
 
 # --------------------------------------------------------------------------

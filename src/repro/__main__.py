@@ -8,7 +8,7 @@ Usage::
     python -m repro all [output.md]     # everything -> EXPERIMENTS.md (serial)
     python -m repro sweep [output.md]   # everything, parallel + cached
     python -m repro race [--seeds N]    # schedule-perturbation check
-    python -m repro analyze [paths]     # simlint/simrace/simflow
+    python -m repro analyze [paths]     # simlint + simflow
     python -m repro faults [--smoke]    # deterministic fault-injection campaign
 """
 
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     from repro.experiments.race_check import positive_int
 
     race_parser = subparsers.add_parser(
-        "race", help="perturb DES schedules and diff stats (simrace dynamic layer)"
+        "race", help="perturb DES schedules and diff stats (dynamic race check)"
     )
     race_parser.add_argument(
         "--seeds",
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
 
     analyze_parser = subparsers.add_parser(
         "analyze",
-        help="run simlint + simrace + simflow and merge the findings",
+        help="run simlint + simflow and merge the findings",
     )
     analyze.configure_parser(analyze_parser)
 

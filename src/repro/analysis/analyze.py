@@ -1,23 +1,20 @@
-"""Umbrella runner: simlint + simrace + simflow.
+"""The analysis front end: simlint + simflow.
 
-``python -m repro analyze [paths]`` runs all three static-analysis
-families over the same file set and merges their findings into a single
-report (or, with ``--json``, a single findings document in the shared
-schema of :mod:`repro.analysis.findings`, with each finding carrying a
-``tool`` field).  Every tool analyzes one file at a time.
+``python -m repro analyze [paths]`` (also ``python -m
+repro.analysis.analyze``) reads each file once, runs both static-analysis
+families over it and merges their findings into a single report (or,
+with ``--json``, a single findings document with each finding carrying a
+``tool`` field).
 
 Exit status: 0 when clean, 1 when any tool found anything, and 2 when a
-tool *crashed* on a file — a crash means that file was never actually
-checked, so it must not be mistaken for a clean pass.
+file could not be read or a tool *crashed* on it — a crash means that
+file was never actually checked, so it must not be mistaken for a clean
+pass.
 
 ``--check-suppressions`` audits ``# <tool>: disable=`` comments: each
-tool is re-run with its suppressions neutralized and any comment that no
-longer shields a finding is reported as ``SUP001``, keeping dead
-markers from accumulating.
-
-The merged document is also a valid ``--baseline`` snapshot: rule codes
-are disjoint across tools (SL/SR/SF), so one baseline file can cover
-all three analyses at once.
+tool is re-run on the same source with its suppressions neutralized and
+any comment that no longer shields a finding is reported as ``SUP001``,
+keeping dead markers from accumulating.
 """
 
 from __future__ import annotations
@@ -26,38 +23,23 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import (
     SCHEMA_VERSION,
     Violation,
-    add_baseline_arguments,
-    filter_baseline,
     iter_python_files,
-    load_baseline,
     strip_suppression_comments,
     unused_suppressions,
 )
-from repro.analysis.simflow.engine import analyze_file as _flow_file
-from repro.analysis.simflow.engine import analyze_source as _flow_source
-from repro.analysis.simlint.engine import lint_file as _lint_file
-from repro.analysis.simlint.engine import lint_source as _lint_source
-from repro.analysis.simrace.engine import analyze_file as _race_file
-from repro.analysis.simrace.engine import analyze_source as _race_source
+from repro.analysis.simflow.engine import analyze_source
+from repro.analysis.simlint.engine import lint_source
 
-#: The per-file analysis families the umbrella runs, in report order.
+#: The per-file analysis families, in report order: ``(name, fn)`` where
+#: ``fn(source, path=...)`` returns that file's findings.
 TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simlint", _lint_file),
-    ("simrace", _race_file),
-    ("simflow", _flow_file),
-)
-
-#: Source-string variants of the per-file tools (suppression auditing).
-SOURCE_TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simlint", _lint_source),
-    ("simrace", _race_source),
-    ("simflow", _flow_source),
+    ("simlint", lint_source),
+    ("simflow", analyze_source),
 )
 
 
@@ -78,69 +60,52 @@ class Crash:
         return f"{self.tool}: CRASH analyzing {self.path}: {self.error}"
 
 
-def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
+def _stale_suppressions(
+    tool: str, analyze: Callable[..., List[Violation]], path: str, source: str
+) -> List[Violation]:
+    """``tool``'s suppression comments in ``source`` that shield nothing."""
+    raw = analyze(strip_suppression_comments(source, tool), path=path)
+    return [
+        Violation(v.path, v.line, v.col, v.code, f"[{tool}] {v.message}")
+        for v in unused_suppressions(path, source.splitlines(), tool, raw)
+    ]
 
 
 def run_all(
-    paths: Sequence[str],
+    paths: Sequence[str], check_suppressions: bool = False
 ) -> Tuple[Dict[str, List[Violation]], int, List[Crash]]:
-    """Run every tool over ``paths``.
+    """Run every tool over ``paths``, reading each file once.
 
-    Returns ``(per-tool findings, #files, crashes)``.  A tool raising on
-    a file is recorded as a crash instead of aborting the whole run, so
-    one bad file can't hide every other tool's findings — but the caller
-    must exit non-zero, because the crashed (tool, file) pair was never
-    actually analyzed.
+    Returns ``(per-tool findings, #files, crashes)``; with
+    ``check_suppressions`` the stale markers are reported under the
+    ``"suppressions"`` key.  A file that cannot be read is a crash for
+    every tool, and a tool raising on a file is a crash for that pair —
+    recorded instead of aborting the run, so one bad file can't hide
+    every other finding, but the caller must exit non-zero because the
+    crashed (tool, file) pair was never actually analyzed.
     """
     files = iter_python_files(paths)
-    per_tool: Dict[str, List[Violation]] = {}
-    crashes: List[Crash] = []
-    for tool, analyze in TOOLS:
-        violations: List[Violation] = []
-        for path in files:
-            try:
-                violations.extend(analyze(path))
-            except Exception as error:  # pragma: no cover - exercised via tests
-                crashes.append(Crash(tool, str(path), error))
-        per_tool[tool] = violations
-    return per_tool, len(files), crashes
-
-
-def check_suppressions(paths: Sequence[str]) -> Tuple[List[Violation], List[Crash]]:
-    """Audit suppression comments under ``paths``; stale ones → SUP001.
-
-    Each tool is re-run with its ``# <tool>: disable`` markers
-    neutralized; a marker whose line then shows no finding of the listed
-    codes is stale.  Findings keep the tool name in the message so mixed
-    reports stay readable.
-    """
-    files = iter_python_files(paths)
+    per_tool: Dict[str, List[Violation]] = {tool: [] for tool, _ in TOOLS}
     stale: List[Violation] = []
     crashes: List[Crash] = []
-    sources = [(str(path), _read(path)) for path in files]
-    for (path_str, source) in sources:
-        lines = source.splitlines()
-        for tool, analyze_source in SOURCE_TOOLS:
+    for file in files:
+        path = str(file)
+        try:
+            source = file.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            crashes.extend(Crash(tool, path, error) for tool, _ in TOOLS)
+            continue
+        for tool, analyze in TOOLS:
             try:
-                raw = analyze_source(
-                    strip_suppression_comments(source, tool), path=path_str
-                )
+                per_tool[tool].extend(analyze(source, path=path))
+                if check_suppressions:
+                    stale.extend(_stale_suppressions(tool, analyze, path, source))
             except Exception as error:  # pragma: no cover - exercised via tests
-                crashes.append(Crash(tool, path_str, error))
-                continue
-            for violation in unused_suppressions(path_str, lines, tool, raw):
-                stale.append(
-                    Violation(
-                        violation.path,
-                        violation.line,
-                        violation.col,
-                        violation.code,
-                        f"[{tool}] {violation.message}",
-                    )
-                )
-    stale.sort(key=lambda v: (v.path, v.line, v.col, v.message))
-    return stale, crashes
+                crashes.append(Crash(tool, path, error))
+    if check_suppressions:
+        stale.sort(key=lambda v: (v.path, v.line, v.col, v.message))
+        per_tool["suppressions"] = stale
+    return per_tool, len(files), crashes
 
 
 def merged_document(
@@ -186,34 +151,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="also flag stale '# <tool>: disable=' comments (SUP001)",
     )
-    add_baseline_arguments(parser)
 
 
 def run(args: argparse.Namespace) -> int:
-    per_tool, files_checked, crashes = run_all(args.paths)
-
-    if getattr(args, "check_suppressions", False):
-        stale, stale_crashes = check_suppressions(args.paths)
-        per_tool["suppressions"] = stale
-        crashes.extend(stale_crashes)
-
-    if getattr(args, "write_baseline", None):
-        document = merged_document(per_tool, files_checked, crashes)
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(
-            f"analyze: wrote baseline with {document['count']} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 2 if crashes else 0
-    if getattr(args, "baseline", None):
-        keys = load_baseline(args.baseline)
-        per_tool = {
-            tool: filter_baseline(violations, keys)
-            for tool, violations in per_tool.items()
-        }
-
+    per_tool, files_checked, crashes = run_all(
+        args.paths, check_suppressions=args.check_suppressions
+    )
     total = sum(len(v) for v in per_tool.values())
     if args.json:
         print(
@@ -250,7 +193,7 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.analyze",
-        description="Run simlint + simrace + simflow and merge their findings.",
+        description="Run simlint + simflow and merge their findings.",
     )
     configure_parser(parser)
     return run(parser.parse_args(argv))

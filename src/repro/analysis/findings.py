@@ -1,40 +1,28 @@
-"""Shared findings plumbing for the repo's static-analysis tools.
+"""Shared findings plumbing for the repo's two static analyzers.
 
-Both analysis passes — :mod:`repro.analysis.simlint` (single-function
-syntax-level rules) and :mod:`repro.analysis.simrace` (interprocedural
-concurrency rules) — report findings through one schema, so CI
-annotations and downstream tooling can consume either tool's output
-without caring which produced it:
+:mod:`repro.analysis.simlint` (single-function syntax-level rules) and
+:mod:`repro.analysis.simflow` (address-domain and unit flow) report
+through one schema and one per-file context, so the
+:mod:`repro.analysis.analyze` front end can merge them:
 
 * :class:`Violation` — one finding at a source location, with a stable
-  rule code (``SL###`` / ``SR###``).
-* :func:`findings_json` — the shared ``--json`` serialization
-  (``{"tool", "schema_version", "count", "files_checked", "findings"}``).
-* :func:`parse_suppressions` — per-line ``# <tool>: disable=CODE``
-  comment parsing; both tools use identical suppression syntax.
+  rule code (``SL###`` / ``SF###``).
+* :class:`FileContext` — one file's path, its ``# <tool>: disable=CODE``
+  suppression table and its simulation-scope decision
+  (:func:`infer_sim_scope`, the one sim-scope rule both tools apply).
 * :func:`strip_suppression_comments` / :func:`unused_suppressions` —
   stale-suppression detection (``SUP001``): re-run a tool with
   suppressions neutralized and flag the comments that no longer shield
   any finding, so dead ``disable=`` markers can't accumulate.
-* :func:`iter_python_files` — file/directory expansion for the CLIs.
-* :func:`load_baseline` / :func:`write_baseline` /
-  :func:`filter_baseline` — ``--baseline`` support: snapshot the
-  current findings and report only ones not in the snapshot, so a new
-  rule can land without a suppress-everything commit.
-
-A baseline file is simply a findings JSON document (the exact output of
-``--json`` / ``--write-baseline``), matched on ``(path, code, message)``
-— line numbers are excluded so unrelated edits don't un-baseline a
-finding.
+* :func:`iter_python_files` — file/directory expansion for the front end.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 #: Version of the shared findings JSON schema; bump on breaking changes.
 SCHEMA_VERSION = 1
@@ -57,23 +45,6 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-def findings_json(
-    tool: str,
-    violations: Sequence[Violation],
-    files_checked: Optional[int] = None,
-) -> str:
-    """Serialize findings to the shared JSON schema (one object, indented)."""
-    payload: Dict[str, object] = {
-        "tool": tool,
-        "schema_version": SCHEMA_VERSION,
-        "count": len(violations),
-        "findings": [asdict(violation) for violation in violations],
-    }
-    if files_checked is not None:
-        payload["files_checked"] = files_checked
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _suppress_re(tool: str) -> "re.Pattern[str]":
     return re.compile(
         rf"#\s*{re.escape(tool)}:\s*disable(?:=(?P<codes>[A-Za-z0-9_, ]+))?"
@@ -94,6 +65,43 @@ def parse_suppressions(lines: Sequence[str], tool: str) -> Dict[int, Set[str]]:
         else:
             table[number] = {c.strip().upper() for c in codes.split(",") if c.strip()}
     return table
+
+
+#: Layers under ``repro/`` whose files are in the simulation scope: the
+#: rules about wall-clock time, RNG seeding, ns units and address domains
+#: apply only here (workloads/experiments may legitimately use other units).
+SIM_SCOPE_DIRS = {"sim", "ssd", "host", "core", "interconnect"}
+
+
+def in_repro_layer(path: str, layers: Iterable[str]) -> bool:
+    """True when ``path`` lives under ``repro/<layer>/`` for one of ``layers``."""
+    parts = Path(path).parts
+    return any(
+        part == "repro" and parts[index + 1] in layers
+        for index, part in enumerate(parts[:-1])
+    )
+
+
+def infer_sim_scope(path: str) -> bool:
+    """A file is in simulation scope when it lives under one of the
+    :data:`SIM_SCOPE_DIRS` layers."""
+    return in_repro_layer(path, SIM_SCOPE_DIRS)
+
+
+class FileContext:
+    """One file under analysis by ``tool``: its path, the tool's
+    suppression table and the simulation-scope decision."""
+
+    def __init__(
+        self, tool: str, path: str, source: str, sim_scope: Optional[bool] = None
+    ) -> None:
+        self.path = path
+        self.suppressions = parse_suppressions(source.splitlines(), tool)
+        self.sim_scope = infer_sim_scope(path) if sim_scope is None else sim_scope
+
+    def suppressed(self, line: int, code: str) -> bool:
+        codes = self.suppressions.get(line)
+        return codes is not None and (ALL_CODES in codes or code in codes)
 
 
 #: Rule code for a suppression comment that suppresses nothing.
@@ -174,89 +182,3 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
         elif path.suffix == ".py":
             out.append(path)
     return out
-
-
-# --------------------------------------------------------------------------
-# Baselines: report only findings that are new relative to a snapshot
-# --------------------------------------------------------------------------
-
-#: A baseline identity for one finding; deliberately line-insensitive.
-BaselineKey = Tuple[str, str, str]
-
-
-def baseline_key(violation: Violation) -> BaselineKey:
-    return (violation.path, violation.code, violation.message)
-
-
-def load_baseline(path: str) -> Set[BaselineKey]:
-    """Load the set of baselined finding keys from a findings JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    keys: Set[BaselineKey] = set()
-    for finding in document.get("findings", []):
-        keys.add(
-            (
-                str(finding.get("path", "")),
-                str(finding.get("code", "")),
-                str(finding.get("message", "")),
-            )
-        )
-    return keys
-
-
-def write_baseline(
-    path: str,
-    tool: str,
-    violations: Sequence[Violation],
-    files_checked: Optional[int] = None,
-) -> None:
-    """Snapshot the current findings as a baseline file (findings JSON)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(findings_json(tool, violations, files_checked=files_checked))
-        handle.write("\n")
-
-
-def filter_baseline(
-    violations: Sequence[Violation], keys: Set[BaselineKey]
-) -> List[Violation]:
-    """Drop findings whose (path, code, message) appear in the baseline."""
-    return [v for v in violations if baseline_key(v) not in keys]
-
-
-def add_baseline_arguments(parser) -> None:
-    """Install the shared ``--baseline`` / ``--write-baseline`` options."""
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="report only findings not present in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot the current findings to FILE (findings JSON) and exit 0",
-    )
-
-
-def apply_baseline(
-    args,
-    tool: str,
-    violations: List[Violation],
-    files_checked: Optional[int] = None,
-) -> "Tuple[List[Violation], Optional[int]]":
-    """Shared handling for the baseline options.
-
-    Returns ``(violations, exit_code)`` — ``exit_code`` is non-None when
-    the invocation is complete (``--write-baseline`` wrote its snapshot),
-    otherwise ``violations`` has been filtered against ``--baseline``
-    (when given) and the caller reports as usual.
-    """
-    if getattr(args, "write_baseline", None):
-        write_baseline(args.write_baseline, tool, violations, files_checked)
-        print(
-            f"{tool}: wrote baseline with {len(violations)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return violations, 0
-    if getattr(args, "baseline", None):
-        violations = filter_baseline(violations, load_baseline(args.baseline))
-    return violations, None

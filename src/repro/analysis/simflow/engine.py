@@ -1,8 +1,9 @@
-"""simflow engine: file walking, suppression handling, checker dispatch.
+"""simflow engine: parse one file and run the flow checker over it.
 
-Mirrors the simlint engine: parse each file once, compute the per-line
-``simflow: disable=SF001`` comment suppression table, decide sim scope, and
-run the flow checker (:func:`repro.analysis.simflow.model.check_module`)
+Mirrors the simlint engine: parse the source once, build the shared
+:class:`~repro.analysis.findings.FileContext` (the per-line
+``simflow: disable=SF001`` suppression table and the sim-scope decision),
+and run the flow checker (:func:`repro.analysis.simflow.model.check_module`)
 over it.  All SF rules are sim-scope-only — the address-domain
 discipline they police applies to the simulator layers, not to
 experiment scripts tabulating results.
@@ -11,52 +12,10 @@ experiment scripts tabulating results.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
-from repro.analysis.findings import (
-    ALL_CODES,
-    Violation,
-    iter_python_files as _iter_python_files,
-    parse_suppressions,
-)
+from repro.analysis.findings import FileContext, Violation
 from repro.analysis.simflow.model import check_module
-
-#: Same simulation scope as simlint/simrace.
-SIM_SCOPE_DIRS = {"sim", "ssd", "host", "core", "interconnect"}
-
-
-class FileContext:
-    """Suppression table + scope decision for one file under analysis."""
-
-    def __init__(self, path: str, source: str, sim_scope: Optional[bool] = None):
-        self.path = path
-        self.source = source
-        self.lines = source.splitlines()
-        self.suppressions = self._parse_suppressions(self.lines)
-        if sim_scope is None:
-            sim_scope = infer_sim_scope(path)
-        self.sim_scope = sim_scope
-
-    @staticmethod
-    def _parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
-        return parse_suppressions(lines, "simflow")
-
-    def suppressed(self, line: int, code: str) -> bool:
-        codes = self.suppressions.get(line)
-        if codes is None:
-            return False
-        return ALL_CODES in codes or code in codes
-
-
-def infer_sim_scope(path: str) -> bool:
-    """A file is in simulation scope when it lives under ``repro/<dir>/``
-    for one of the :data:`SIM_SCOPE_DIRS` layers."""
-    parts = Path(path).parts
-    for index, part in enumerate(parts[:-1]):
-        if part == "repro" and parts[index + 1] in SIM_SCOPE_DIRS:
-            return True
-    return False
 
 
 def analyze_source(
@@ -73,7 +32,7 @@ def analyze_source(
         col = (error.offset or 1) - 1
         return [Violation(path, line, col, "SF000", f"syntax error: {error.msg}")]
 
-    context = FileContext(path, source, sim_scope=sim_scope)
+    context = FileContext("simflow", path, source, sim_scope=sim_scope)
     if not context.sim_scope:
         return []
 
@@ -96,26 +55,4 @@ def analyze_source(
 
     check_module(tree, report)
     violations.sort(key=lambda v: (v.line, v.col, v.code))
-    return violations
-
-
-def analyze_file(
-    path: Path, select: Optional[Iterable[str]] = None
-) -> List[Violation]:
-    source = path.read_text(encoding="utf-8")
-    return analyze_source(source, path=str(path), select=select)
-
-
-def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
-    return _iter_python_files(paths)
-
-
-def analyze_paths(
-    paths: Iterable[str], select: Optional[Iterable[str]] = None
-) -> List[Violation]:
-    """Analyze every Python file under the given paths."""
-    violations: List[Violation] = []
-    for path in iter_python_files(paths):
-        violations.extend(analyze_file(path, select=select))
     return violations

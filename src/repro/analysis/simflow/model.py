@@ -1,6 +1,6 @@
 """simflow model: function summaries + the flow-sensitive domain checker.
 
-Two passes over each module, mirroring the simrace architecture:
+Two passes over each module:
 
 1. **Summaries** — every function/method gets a
    :class:`FunctionSummary`: per-parameter kinds (annotation first,

@@ -1,11 +1,9 @@
 """simflow rule catalogue.
 
-Unlike simlint (independent per-rule AST visitors) and simrace
-(per-rule passes over an interprocedural model), simflow's five rules
-are all facets of one flow analysis — the checker in
+Unlike simlint (independent per-rule AST visitors), simflow's five
+rules are all facets of one flow analysis — the checker in
 :mod:`repro.analysis.simflow.model` emits every code in a single walk.
-The descriptors here carry the metadata for ``--list-rules``,
-``--select`` validation and the docs.
+The descriptors here name and explain each code for the docs.
 """
 
 from __future__ import annotations

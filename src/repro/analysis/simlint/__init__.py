@@ -1,38 +1,12 @@
 """simlint: domain-specific static analysis for the FlatFlash simulator.
 
-Usage::
-
-    python -m repro.analysis.simlint src/           # lint a tree
-    python -m repro.analysis.simlint --list-rules   # show the rule catalogue
-
-See ``docs/static_analysis.md`` for the rule catalogue and suppression
+Run it through the front end, ``python -m repro analyze src/``.  See
+``docs/static_analysis.md`` for the rule catalogue and suppression
 syntax (a ``simlint: disable=SL001`` comment).
 """
 
-from repro.analysis.simlint.engine import (
-    ALL_CODES,
-    SIM_SCOPE_DIRS,
-    FileContext,
-    Violation,
-    infer_sim_scope,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.simlint.rules import DES_COMMANDS, RULES, Rule
+from repro.analysis.findings import Violation
+from repro.analysis.simlint.engine import lint_source
+from repro.analysis.simlint.rules import RULES, Rule
 
-__all__ = [
-    "ALL_CODES",
-    "DES_COMMANDS",
-    "FileContext",
-    "RULES",
-    "Rule",
-    "SIM_SCOPE_DIRS",
-    "Violation",
-    "infer_sim_scope",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-]
+__all__ = ["RULES", "Rule", "Violation", "lint_source"]

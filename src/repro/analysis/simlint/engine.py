@@ -1,62 +1,18 @@
-"""simlint engine: file walking, suppression parsing, rule dispatch.
+"""simlint engine: parse one file and dispatch every rule over it.
 
-The engine is deliberately small — it parses each file once, computes the
-per-line suppression table (``simlint: disable=SL001`` comments), decides
-whether the file is inside the *simulation scope* (the layers whose timing
-and state discipline the lint rules police), and hands the AST to every
-registered rule.  Rules live in :mod:`repro.analysis.simlint.rules`.
+The engine is deliberately small — it parses the source once, builds the
+shared :class:`~repro.analysis.findings.FileContext` (the per-line
+``simlint: disable=SL001`` suppression table and the *simulation scope*
+decision), and hands the AST to every registered rule.  Rules live in
+:mod:`repro.analysis.simlint.rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional
 
-from repro.analysis.findings import (
-    ALL_CODES,
-    Violation,
-    iter_python_files as _iter_python_files,
-    parse_suppressions,
-)
-
-#: Directories under ``repro/`` whose files are in the simulation scope:
-#: rules about wall-clock time, RNG seeding and ns-unit discipline apply
-#: only here (workloads/experiments may legitimately use other units).
-SIM_SCOPE_DIRS = {"sim", "ssd", "host", "core", "interconnect"}
-
-
-class FileContext:
-    """Everything a rule needs to know about the file under analysis."""
-
-    def __init__(self, path: str, source: str, sim_scope: Optional[bool] = None):
-        self.path = path
-        self.source = source
-        self.lines = source.splitlines()
-        self.suppressions = self._parse_suppressions(self.lines)
-        if sim_scope is None:
-            sim_scope = infer_sim_scope(path)
-        self.sim_scope = sim_scope
-
-    @staticmethod
-    def _parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
-        return parse_suppressions(lines, "simlint")
-
-    def suppressed(self, line: int, code: str) -> bool:
-        codes = self.suppressions.get(line)
-        if codes is None:
-            return False
-        return ALL_CODES in codes or code in codes
-
-
-def infer_sim_scope(path: str) -> bool:
-    """A file is in simulation scope when it lives under ``repro/<dir>/``
-    for one of the :data:`SIM_SCOPE_DIRS` layers."""
-    parts = Path(path).parts
-    for index, part in enumerate(parts[:-1]):
-        if part == "repro" and parts[index + 1] in SIM_SCOPE_DIRS:
-            return True
-    return False
+from repro.analysis.findings import FileContext, Violation
 
 
 def lint_source(
@@ -76,7 +32,7 @@ def lint_source(
         return [Violation(path, line, col, "SL000", f"syntax error: {error.msg}")]
 
     wanted = None if select is None else {code.upper() for code in select}
-    context = FileContext(path, source, sim_scope=sim_scope)
+    context = FileContext("simlint", path, source, sim_scope=sim_scope)
     violations: List[Violation] = []
     for rule in RULES:
         if wanted is not None and rule.code not in wanted:
@@ -87,26 +43,4 @@ def lint_source(
             if not context.suppressed(violation.line, violation.code):
                 violations.append(violation)
     violations.sort(key=lambda v: (v.line, v.col, v.code))
-    return violations
-
-
-def lint_file(
-    path: Path, select: Optional[Iterable[str]] = None
-) -> List[Violation]:
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, path=str(path), select=select)
-
-
-def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
-    return _iter_python_files(paths)
-
-
-def lint_paths(
-    paths: Iterable[str], select: Optional[Iterable[str]] = None
-) -> List[Violation]:
-    """Lint every Python file under the given paths."""
-    violations: List[Violation] = []
-    for path in iter_python_files(paths):
-        violations.extend(lint_file(path, select=select))
     return violations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint.engine import FileContext, Violation
+from repro.analysis.findings import FileContext, Violation, in_repro_layer
 
 #: The DES command vocabulary (repro.sim.des) a process generator may yield.
 DES_COMMANDS = {"Delay", "Acquire", "Release", "AcquireSlot", "ReleaseSlot"}
@@ -758,18 +758,8 @@ class FaultRandomnessRule(Rule):
     _NUMPY_LEGACY = UnseededRandomRule._NUMPY_LEGACY
     _NUMPY_ALLOWED = UnseededRandomRule._NUMPY_ALLOWED
 
-    @staticmethod
-    def _in_faults_scope(path: str) -> bool:
-        from pathlib import Path
-
-        parts = Path(path).parts
-        for index, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[index + 1] == "faults":
-                return True
-        return False
-
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        if not self._in_faults_scope(ctx.path):
+        if not in_repro_layer(ctx.path, {"faults"}):
             return
         for bare in UnseededRandomRule._bare_np_random_nodes(tree):
             yield self.violation(

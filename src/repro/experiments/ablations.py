@@ -20,12 +20,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.report import Table
 from repro.apps.database import LoggingScheme, run_oltp
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.core.hierarchy import FlatFlash
 from repro.core.promotion import FixedPromotionPolicy, PromotionManager
 from repro.experiments.common import ExperimentResult, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.oltp import TPCB
 from repro.workloads.synthetic import random_access, sequential_access

@@ -9,9 +9,9 @@ PLB window — with each location's mean latency, per system.
 
 from __future__ import annotations
 
-from repro.analysis.report import Table
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.ycsb import RECORD_SIZE, YCSB_B
 

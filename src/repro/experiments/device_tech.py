@@ -16,9 +16,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.report import Table
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.gups import run_gups
 from repro.workloads.ycsb import RECORD_SIZE, YCSB_B

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.report import Table
 from repro.apps.graph_analytics import GraphEngine
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.graphs import CSRGraph, power_law_graph
 

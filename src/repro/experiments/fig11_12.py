@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.report import Table
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.ycsb import RECORD_SIZE, WORKLOADS
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.report import Table
 from repro.apps.filesystem import FileSystemKind, make_filesystem
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.filebench import workload_by_name
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.report import Table
 from repro.apps.database import LoggingScheme, run_oltp
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.oltp import WORKLOADS
 

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.report import Table
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.synthetic import random_access, sequential_access, warm_up
 

@@ -15,8 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.report import Table
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.gups import run_gups
 

@@ -17,9 +17,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.analysis.report import Table
 from repro.apps.kvstore import KVStore
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.sim.stats import LatencyStats
 from repro.workloads.ycsb import OpType, RECORD_SIZE, YCSB_B, generate_ops

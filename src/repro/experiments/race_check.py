@@ -1,16 +1,15 @@
 """Schedule-perturbation determinism check over the seed OLTP config.
 
-The dynamic half of the simrace pass (:mod:`repro.sim.race`) replays the
-smallest multi-threaded scenario we have — the Fig. 14 OLTP engine on
-the default :func:`~repro.experiments.common.scaled_config` — under N
-seeded same-timestamp schedules and diffs the final stats snapshots
-against the unperturbed FIFO baseline.
+The race check (:mod:`repro.sim.race`) replays the smallest
+multi-threaded scenario we have — the Fig. 14 OLTP engine on the default
+:func:`~repro.experiments.common.scaled_config` — under N seeded
+same-timestamp schedules and diffs the final stats snapshots against the
+unperturbed FIFO baseline.
 
 **What must be byte-identical** (and is asserted here): every stat that
 counts logical work — commits, loads/stores, fault/promotion counts.
 These are conservation laws; a diff under a permuted schedule means a
-lost or duplicated update (exactly the bug class SR001 flags
-statically).
+lost or duplicated update.
 
 **What legitimately varies** (documented, not failed): stats whose value
 depends on *when* an access happens relative to the others.
@@ -159,7 +158,7 @@ def run_race_check(seeds: int = 5, verbose: bool = True) -> int:
         print(
             f"access recorder: {len(recorder.records)} access(es) logged, "
             f"{len(conflicts)} empty-lockset conflict(s) "
-            f"(atomic per-slice today; watch items for SR001)"
+            f"(atomic per-slice today; watch items for lost updates)"
         )
         for conflict in conflicts:
             print(f"    {conflict.describe()}")

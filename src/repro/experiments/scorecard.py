@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional
 
-from repro.analysis.report import Table
 from repro.experiments import fig9, fig11_12, fig13, fig14, table3
 from repro.experiments.common import ExperimentResult
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 
 

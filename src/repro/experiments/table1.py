@@ -12,13 +12,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.lifetime import flash_programs
-from repro.analysis.report import Table
 from repro.apps.database import run_oltp
 from repro.apps.filesystem import FileSystemKind, make_filesystem
 from repro.apps.graph_analytics import GraphEngine
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.filebench import workload_by_name
 from repro.workloads.graphs import power_law_graph
@@ -38,6 +37,13 @@ PAPER_ROWS = [
     ("Transactional DB", "TPCB", 2.8, 1.0),
     ("Transactional DB", "TATP", 1.3, 1.0),
 ]
+
+
+def flash_programs(system) -> int:
+    """Pages programmed into flash by a run on this system.  Flash wears
+    out with program/erase cycles, so the lifetime column is the ratio of
+    these counts for the same work."""
+    return system.ssd.flash.total_programs
 
 
 def _pair(config_kwargs: dict) -> tuple:

@@ -8,9 +8,9 @@ the machinery charges what Table 2 says it should.
 
 from __future__ import annotations
 
-from repro.analysis.report import Table
 from repro.core.hierarchy import FlatFlash
 from repro.experiments.common import ExperimentResult, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 
 PAPER_US = {

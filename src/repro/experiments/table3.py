@@ -9,16 +9,16 @@ anchoring the experiment's DRAM to the paper's 2 GB host DRAM.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.cost import DollarCostModel
-from repro.analysis.report import Table
 from repro.apps.database import run_oltp
 from repro.apps.graph_analytics import GraphEngine
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.experiments.common import ExperimentResult, build_system, scaled_config
+from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
 from repro.workloads.graphs import power_law_graph
 from repro.workloads.gups import run_gups
@@ -43,6 +43,30 @@ PAPER_DRAM_GB = 2.0
 #: RNG/loop work in GUPS.  The paper's slowdowns are whole-application, so
 #: the memory-latency ratio is damped by this per-op CPU time.
 THINK_NS = {"GUPS": 3_000, "YCSB-B": 4_000, "YCSB-D": 4_000}
+
+
+@dataclass
+class DollarCostModel:
+    """Prices a hybrid (DRAM+SSD) and a DRAM-only configuration at the
+    paper's 2018 street prices: DRAM $30/GB, PCIe flash $2/GB, plus a
+    $1,500 server base-cost increase for the extra DIMM slots a
+    DRAM-only build needs."""
+
+    dram_dollars_per_gb: float = 30.0
+    ssd_dollars_per_gb: float = 2.0
+    dram_only_base_cost: float = 1_500.0
+
+    def hybrid_cost(self, dram_gb: float, ssd_gb: float) -> float:
+        """Cost of the FlatFlash configuration hosting the dataset on SSD."""
+        if dram_gb < 0 or ssd_gb < 0:
+            raise ValueError("capacities must be non-negative")
+        return dram_gb * self.dram_dollars_per_gb + ssd_gb * self.ssd_dollars_per_gb
+
+    def dram_only_cost(self, dataset_gb: float) -> float:
+        """Cost of provisioning the whole dataset in DRAM."""
+        if dataset_gb < 0:
+            raise ValueError("dataset size must be non-negative")
+        return dataset_gb * self.dram_dollars_per_gb + self.dram_only_base_cost
 
 
 def _run_workload(name: str, system) -> int:

@@ -1,8 +1,10 @@
 """Dynamic concurrency checking for the DES: access recording and
 schedule perturbation.
 
-This is the runtime half of the simrace pass (the static half lives in
-:mod:`repro.analysis.simrace`).  Two independent mechanisms:
+Together with the :class:`~repro.sim.sanitizers.LockSanitizer` (a lock
+held when its process finishes, a lock-order cycle at block time) this is
+the repo's race checking; there is no static counterpart.  Two
+independent mechanisms:
 
 * **Access recorder** (:class:`AccessRecorder`) — while a recorder is
   installed, every instrumented shared-state mutation (the stats

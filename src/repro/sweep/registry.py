@@ -158,8 +158,8 @@ class Registry:
 
 
 #: Public ``run*`` functions in ``repro.experiments`` that are deliberately
-#: not sweep cells.  ``run_race_check`` is the dynamic simrace harness — a
-#: pass/fail analysis gate, not a result-producing experiment.
+#: not sweep cells.  ``run_race_check`` is the schedule-perturbation race
+#: check — a pass/fail analysis gate, not a result-producing experiment.
 EXEMPT_RUNNERS = frozenset({"repro.experiments.race_check:run_race_check"})
 
 

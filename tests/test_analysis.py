@@ -1,15 +1,12 @@
-"""Tests for the cost, lifetime and reporting helpers."""
+"""Tests for the table helpers: Table 3's cost model, Table 1's flash
+program count and the shared text table."""
 
 import pytest
 
-from repro import FlatFlash, UnifiedMMap, small_config
-from repro.analysis.cost import DollarCostModel, cost_effectiveness
-from repro.analysis.lifetime import (
-    flash_programs,
-    lifetime_improvement,
-    write_amplification,
-)
-from repro.analysis.report import Table, comparison_rows, format_ratio
+from repro import FlatFlash, small_config
+from repro.experiments.report import Table
+from repro.experiments.table1 import flash_programs
+from repro.experiments.table3 import DollarCostModel
 
 
 class TestDollarCostModel:
@@ -28,23 +25,6 @@ class TestDollarCostModel:
         with pytest.raises(ValueError):
             model.dram_only_cost(-1)
 
-    def test_cost_effectiveness_row(self):
-        row = cost_effectiveness(
-            "GUPS",
-            flatflash_elapsed_ns=900,
-            dram_only_elapsed_ns=100,
-            dram_gb=2,
-            ssd_gb=32,
-            dataset_gb=32,
-        )
-        assert row.slowdown == pytest.approx(9.0)
-        assert row.cost_saving == pytest.approx((32 * 30 + 1_500) / (60 + 64))
-        assert row.cost_effectiveness == pytest.approx(row.cost_saving / 9.0)
-
-    def test_invalid_elapsed_rejected(self):
-        with pytest.raises(ValueError):
-            cost_effectiveness("x", 0, 10, 1, 1, 1)
-
 
 class TestLifetime:
     def test_flash_programs_counted(self):
@@ -54,35 +34,8 @@ class TestLifetime:
         system.ssd.gc.flush_dirty()
         assert flash_programs(system) >= 4  # mapping programs + destage
 
-    def test_write_amplification_at_least_one(self):
-        system = FlatFlash(small_config())
-        region = system.mmap(4)
-        system.store(region.addr(0), 8)
-        system.ssd.gc.flush_dirty()
-        assert write_amplification(system) >= 1.0
-
-    def test_lifetime_improvement_ratio(self):
-        baseline = UnifiedMMap(small_config())
-        flat = FlatFlash(small_config())
-        for system in (baseline, flat):
-            region = system.mmap(4)
-            for page in range(4):
-                system.store(region.page_addr(page, 0), 8)
-        # Force comparable write-back for both.
-        ratio = lifetime_improvement(baseline, flat)
-        assert ratio > 0
-
-    def test_idle_systems_report_one(self):
-        a = FlatFlash(small_config())
-        b = FlatFlash(small_config())
-        assert lifetime_improvement(a, b) == 1.0
-
 
 class TestReport:
-    def test_format_ratio(self):
-        assert format_ratio(2.345) == "2.3x"
-        assert format_ratio(2.345, digits=2) == "2.35x"
-
     def test_table_renders_aligned(self):
         table = Table("Title", ["a", "bb"])
         table.add_row(1, "x")
@@ -105,14 +58,3 @@ class TestReport:
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
             Table("t", [])
-
-    def test_comparison_rows_annotates_ratios(self):
-        cells = comparison_rows("label", [2.0, 4.0])
-        assert cells[0] == "label"
-        assert "2.00x" in cells[2]
-
-    def test_comparison_rows_validation(self):
-        with pytest.raises(ValueError):
-            comparison_rows("l", [])
-        with pytest.raises(ValueError):
-            comparison_rows("l", [1.0], baseline_index=5)

@@ -1,9 +1,8 @@
-"""Shared findings plumbing: baselines, stale suppressions, crash handling.
+"""Shared findings plumbing: stale suppressions, crash handling, the CLI.
 
-Covers the edge cases the per-tool suites don't: duplicate findings on
-one line, findings that move between lines, baselines naming deleted
-files, the ``SUP001`` stale-suppression audit, and the umbrella runner's
-exit-code contract when an analyzer crashes mid-run.
+Covers the edge cases the per-tool suites don't: the ``SUP001``
+stale-suppression audit, and the ``repro analyze`` front end's exit-code
+contract when a file is unreadable or an analyzer crashes mid-run.
 """
 
 import argparse
@@ -19,13 +18,9 @@ from repro.analysis.findings import (
     ALL_CODES,
     UNUSED_SUPPRESSION_CODE,
     Violation,
-    baseline_key,
-    filter_baseline,
-    load_baseline,
     parse_suppressions,
     strip_suppression_comments,
     unused_suppressions,
-    write_baseline,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -33,60 +28,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def _violation(path="repro/sim/x.py", line=5, col=0, code="SL001", message="msg"):
     return Violation(path, line, col, code, message)
-
-
-# --------------------------------------------------------------------- #
-# Baseline edge cases
-# --------------------------------------------------------------------- #
-
-
-class TestBaselineEdgeCases:
-    def test_duplicate_findings_on_one_line_share_one_key(self, tmp_path):
-        """Two identical findings at the same site collapse to one baseline
-        entry, and the baseline still filters both occurrences."""
-        twins = [_violation(), _violation()]
-        snapshot = tmp_path / "baseline.json"
-        write_baseline(str(snapshot), "simlint", twins)
-        keys = load_baseline(str(snapshot))
-        assert keys == {baseline_key(twins[0])}
-        assert filter_baseline(twins, keys) == []
-
-    def test_moved_finding_stays_baselined(self, tmp_path):
-        """Keys are (path, code, message): a finding that drifts to another
-        line after an unrelated edit stays filtered."""
-        snapshot = tmp_path / "baseline.json"
-        write_baseline(str(snapshot), "simlint", [_violation(line=5)])
-        keys = load_baseline(str(snapshot))
-        assert filter_baseline([_violation(line=50)], keys) == []
-        assert filter_baseline([_violation(line=50, col=7)], keys) == []
-
-    def test_message_change_unbaselines_a_finding(self, tmp_path):
-        snapshot = tmp_path / "baseline.json"
-        write_baseline(str(snapshot), "simlint", [_violation(message="old")])
-        keys = load_baseline(str(snapshot))
-        fresh = _violation(message="new")
-        assert filter_baseline([fresh], keys) == [fresh]
-
-    def test_deleted_file_entries_are_harmless(self, tmp_path):
-        """Baseline entries for files that no longer produce findings (or
-        no longer exist) are simply never matched."""
-        snapshot = tmp_path / "baseline.json"
-        write_baseline(
-            str(snapshot),
-            "simlint",
-            [_violation(path="repro/sim/deleted.py"), _violation()],
-        )
-        keys = load_baseline(str(snapshot))
-        live = [_violation(), _violation(path="repro/sim/other.py", code="SL002")]
-        remaining = filter_baseline(live, keys)
-        assert remaining == [live[1]]
-
-    def test_empty_baseline_document_filters_nothing(self, tmp_path):
-        snapshot = tmp_path / "empty.json"
-        snapshot.write_text(json.dumps({"tool": "simlint", "findings": []}))
-        keys = load_baseline(str(snapshot))
-        v = _violation()
-        assert filter_baseline([v], keys) == [v]
 
 
 # --------------------------------------------------------------------- #
@@ -133,7 +74,7 @@ class TestSuppressionAudit:
         assert [v.code for v in stale] == [UNUSED_SUPPRESSION_CODE]
 
     def test_all_codes_marker_constant(self):
-        table = parse_suppressions(["y = 2  # simrace: disable"], "simrace")
+        table = parse_suppressions(["y = 2  # simflow: disable"], "simflow")
         assert table == {1: {ALL_CODES}}
 
 
@@ -181,8 +122,11 @@ class TestCheckSuppressionsCLI:
         assert audited.returncode == 0, audited.stdout + audited.stderr
 
     def test_repo_tree_has_no_stale_suppressions(self):
-        stale, crashes = analyze.check_suppressions([str(SRC / "repro")])
+        per_tool, _, crashes = analyze.run_all(
+            [str(SRC / "repro")], check_suppressions=True
+        )
         assert crashes == []
+        stale = per_tool["suppressions"]
         assert stale == [], "\n".join(v.format() for v in stale)
 
 
@@ -191,7 +135,7 @@ class TestCheckSuppressionsCLI:
 # --------------------------------------------------------------------- #
 
 
-def _boom(path):
+def _boom(source, path):
     raise RuntimeError("boom")
 
 
@@ -213,15 +157,14 @@ class TestCrashHandling:
         assert crashes[0].tool == "simboom"
         assert "RuntimeError: boom" in crashes[0].error
         # the other tools still report their (empty) results
-        assert set(per_tool) == {"simlint", "simrace", "simflow", "simboom"}
+        assert set(per_tool) == {"simlint", "simflow", "simboom"}
 
     def test_run_exits_2_on_crash(self, tree, monkeypatch, capsys):
         monkeypatch.setattr(
             analyze, "TOOLS", analyze.TOOLS + (("simboom", _boom),)
         )
         args = argparse.Namespace(
-            paths=[str(tree / "repro")], json=False, check_suppressions=False,
-            baseline=None, write_baseline=None,
+            paths=[str(tree / "repro")], json=False, check_suppressions=False
         )
         assert analyze.run(args) == 2
         err = capsys.readouterr().err
@@ -233,8 +176,7 @@ class TestCrashHandling:
             analyze, "TOOLS", analyze.TOOLS + (("simboom", _boom),)
         )
         args = argparse.Namespace(
-            paths=[str(tree / "repro")], json=True, check_suppressions=False,
-            baseline=None, write_baseline=None,
+            paths=[str(tree / "repro")], json=True, check_suppressions=False
         )
         assert analyze.run(args) == 2
         payload = json.loads(capsys.readouterr().out)
@@ -244,88 +186,53 @@ class TestCrashHandling:
 
     def test_clean_run_without_crashes_exits_0(self, tree):
         args = argparse.Namespace(
-            paths=[str(tree / "repro")], json=False, check_suppressions=False,
-            baseline=None, write_baseline=None,
+            paths=[str(tree / "repro")], json=False, check_suppressions=False
         )
         assert analyze.run(args) == 0
 
 
 # --------------------------------------------------------------------- #
-# CLI edge cases shared by every analyzer family
+# CLI edge cases, with and without the suppression audit
 # --------------------------------------------------------------------- #
 
-#: (module, example rule code) for each analyzer CLI.
-TOOL_CLIS = [
-    ("simlint", "SL001"),
-    ("simrace", "SR001"),
-    ("simflow", "SF001"),
-]
+AUDIT_MODES = pytest.mark.parametrize(
+    "audit", [[], ["--check-suppressions"]], ids=["plain", "audit"]
+)
 
 
-def _run_tool(tool, args, tmp_path):
-    return subprocess.run(
-        [sys.executable, "-m", f"repro.analysis.{tool}", *args],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={"PYTHONPATH": str(SRC)},
-    )
-
-
-class TestSharedCLIEdgeCases:
-    """Every tool must agree on exit codes for degenerate inputs:
+class TestAnalyzeEdgeCases:
+    """The front end's exit codes for degenerate inputs:
 
     * an empty target directory is a *clean pass* (0), not an error;
-    * an unreadable input is exit 2 with a message on stderr — never a
-      silent "clean";
-    * an unknown ``--select`` code is a usage error (argparse's exit 2).
+    * an unreadable input is a CRASH (exit 2) reported on stderr — never
+      a silent "clean", a finding (1) or a traceback.
     """
 
-    @pytest.mark.parametrize("tool,_code", TOOL_CLIS)
-    def test_empty_directory_is_clean(self, tool, _code, tmp_path):
+    @AUDIT_MODES
+    def test_empty_directory_is_clean(self, audit, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        result = _run_tool(tool, [str(empty)], tmp_path)
+        result = _run_analyze([*audit, str(empty)], tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "no Python files" in result.stderr
+        assert "0 file(s) clean" in result.stdout
 
-    @pytest.mark.parametrize("tool,_code", TOOL_CLIS)
-    def test_unreadable_file_exits_2(self, tool, _code, tmp_path):
+    @AUDIT_MODES
+    def test_unreadable_file_exits_2(self, audit, tmp_path):
         # A directory named *.py: collected by the file walk, unreadable
         # as source.  (chmod tricks don't work when tests run as root.)
         target = tmp_path / "tree"
         (target / "trap.py").mkdir(parents=True)
-        result = _run_tool(tool, [str(target)], tmp_path)
+        result = _run_analyze([*audit, str(target)], tmp_path)
         assert result.returncode == 2, result.stdout + result.stderr
-        assert result.stderr.strip() != ""
+        assert "CRASH" in result.stderr
+        assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("tool,_code", TOOL_CLIS)
-    def test_invalid_utf8_exits_2(self, tool, _code, tmp_path):
+    @AUDIT_MODES
+    def test_invalid_utf8_exits_2(self, audit, tmp_path):
         target = tmp_path / "tree"
         target.mkdir()
         (target / "bad.py").write_bytes(b"x = 1\n\xff\xfe\n")
-        result = _run_tool(tool, [str(target)], tmp_path)
+        result = _run_analyze([*audit, str(target)], tmp_path)
         assert result.returncode == 2, result.stdout + result.stderr
-        assert result.stderr.strip() != ""
-
-    @pytest.mark.parametrize("tool,code", TOOL_CLIS)
-    def test_unknown_select_code_is_usage_error(self, tool, code, tmp_path):
-        target = tmp_path / "tree"
-        target.mkdir()
-        (target / "ok.py").write_text("x = 1\n")
-        result = _run_tool(tool, ["--select", "ZZ999", str(target)], tmp_path)
-        assert result.returncode == 2
-        assert "unknown rule code" in result.stderr
-
-    @pytest.mark.parametrize("tool,code", TOOL_CLIS)
-    def test_known_select_code_and_json_shape(self, tool, code, tmp_path):
-        target = tmp_path / "tree"
-        target.mkdir()
-        (target / "ok.py").write_text("x = 1\n")
-        result = _run_tool(tool, ["--select", code, "--json", str(target)], tmp_path)
-        assert result.returncode == 0, result.stdout + result.stderr
-        payload = json.loads(result.stdout)
-        assert payload["tool"] == tool
-        assert payload["count"] == 0
-        assert payload["files_checked"] == 1
-        assert payload["findings"] == []
+        assert "CRASH" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -253,15 +253,29 @@ def test_lock_release_by_non_holder_names_lock_and_holder():
         sim.run()
 
 
-def test_lock_held_at_exit_names_lock():
+def _leak_directly(lock):
+    yield Acquire(lock)
+    yield Delay(5)
+
+
+def _acquire(lock):
+    yield Acquire(lock)
+
+
+def _leak_through_helper(lock):
+    # The lock is taken inside a ``yield from`` helper and never released
+    # by the caller: the interprocedural leak no single function shows.
+    yield from _acquire(lock)
+    yield Delay(5)
+
+
+@pytest.mark.parametrize(
+    "leaker", [_leak_directly, _leak_through_helper], ids=["direct", "helper"]
+)
+def test_lock_held_at_exit_names_lock(leaker):
     sim = Simulator(sanitizer=LockSanitizer())
     lock = Lock("btree-root")
-
-    def leaker():
-        yield Acquire(lock)
-        yield Delay(5)
-
-    sim.spawn(leaker())
+    sim.spawn(leaker(lock))
     with pytest.raises(LockSanitizerError, match="btree-root.*deadlocked"):
         sim.run()
 

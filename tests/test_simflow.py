@@ -1,9 +1,8 @@
 """simflow rule tests: one violating and one clean fixture per rule.
 
-Mirrors ``tests/test_simlint.py`` / ``tests/test_simrace.py``: every SF
-rule gets a minimal fixture that fires it and a clean twin that must
-stay quiet, plus suppression, ``--select``, ``--baseline``, CLI,
-shared-JSON-schema, umbrella, and repo-is-clean tests.
+Mirrors ``tests/test_simlint.py``: every SF rule gets a minimal fixture
+that fires it and a clean twin that must stay quiet, plus suppression,
+``select=``, CLI, merged-JSON, and repo-is-clean tests.
 """
 
 import json
@@ -14,7 +13,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis.simflow import RULES, analyze_paths, analyze_source
+from repro.analysis.findings import iter_python_files
+from repro.analysis.simflow import RULES, analyze_source
 
 
 def codes(violations):
@@ -447,7 +447,7 @@ def test_rule_catalogue_is_complete():
 
 
 # --------------------------------------------------------------------- #
-# CLI + shared JSON schema + baselines
+# CLI: the `python -m repro analyze` front end
 # --------------------------------------------------------------------- #
 
 _SF001_BAD = "def mix(lpn, ppn):\n    return lpn + ppn\n"
@@ -472,7 +472,7 @@ def _write_bad(tmp_path, name="bad.py", body=_SF001_BAD):
 
 def test_cli_exits_nonzero_on_violation(tmp_path):
     _write_bad(tmp_path)
-    result = _run_cli("repro.analysis.simflow", ["repro"], tmp_path)
+    result = _run_cli("repro.analysis.analyze", ["repro"], tmp_path)
     assert result.returncode == 1
     assert "SF001" in result.stdout
 
@@ -481,103 +481,20 @@ def test_cli_exits_zero_on_clean_tree(tmp_path):
     good = tmp_path / "repro" / "sim" / "good.py"
     good.parent.mkdir(parents=True)
     good.write_text("def distance(lpn, other_lpn):\n    return lpn - other_lpn\n")
-    result = _run_cli("repro.analysis.simflow", ["repro"], tmp_path)
-    assert result.returncode == 0
+    # A suppression that shields a real finding is clean under the audit.
+    _write_bad(tmp_path, body="def mix(lpn, ppn):\n    return lpn + ppn  # simflow: disable=SF001\n")
+    result = _run_cli("repro", ["analyze", "--check-suppressions", "repro"], tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
     assert "clean" in result.stdout
 
 
-def test_cli_list_rules(tmp_path):
-    result = _run_cli("repro.analysis.simflow", ["--list-rules"], tmp_path)
-    assert result.returncode == 0
-    for code in ("SF001", "SF005"):
-        assert code in result.stdout
-
-
-def test_cli_rejects_unknown_select(tmp_path):
-    result = _run_cli("repro.analysis.simflow", ["--select", "SF999", "."], tmp_path)
-    assert result.returncode == 2
-    assert "SF999" in result.stderr
-
-
-def test_cli_select_filters_rules(tmp_path):
-    _write_bad(tmp_path)
-    result = _run_cli("repro.analysis.simflow", ["--select", "SF005", "repro"], tmp_path)
-    assert result.returncode == 0
-
-
-def test_json_output_shared_schema(tmp_path):
-    _write_bad(tmp_path)
-    result = _run_cli("repro.analysis.simflow", ["--json", "repro"], tmp_path)
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert payload["tool"] == "simflow"
-    assert payload["schema_version"] == 1
-    assert payload["count"] == len(payload["findings"])
-    assert isinstance(payload["files_checked"], int)
-    for finding in payload["findings"]:
-        assert set(finding) == {"path", "line", "col", "code", "message"}
-    assert [f["code"] for f in payload["findings"]] == ["SF001"]
-
-
-def test_baseline_round_trip(tmp_path):
-    _write_bad(tmp_path)
-    snapshot = tmp_path / "baseline.json"
-    wrote = _run_cli(
-        "repro.analysis.simflow",
-        ["repro", "--write-baseline", str(snapshot)],
-        tmp_path,
-    )
-    assert wrote.returncode == 0
-    assert snapshot.exists()
-    # Baselined findings stop failing the run...
-    masked = _run_cli(
-        "repro.analysis.simflow", ["repro", "--baseline", str(snapshot)], tmp_path
-    )
-    assert masked.returncode == 0
-    assert "clean" in masked.stdout
-    # ...but a *new* finding still does.
-    _write_bad(tmp_path, name="worse.py", body="def f(vpn, ppn):\n    return vpn + ppn\n")
-    fresh = _run_cli(
-        "repro.analysis.simflow", ["repro", "--baseline", str(snapshot)], tmp_path
-    )
-    assert fresh.returncode == 1
-    assert "worse.py" in fresh.stdout
-    assert "bad.py" not in fresh.stdout
-
-
-def test_baseline_works_for_simlint_and_simrace_too(tmp_path):
+def test_analyze_umbrella_merges_both_tools(tmp_path):
     bad = tmp_path / "repro" / "sim" / "bad.py"
     bad.parent.mkdir(parents=True)
-    # SL008 (mutable default) + SR001 (RMW across a yield) in one file.
+    # One file that trips both families: SL008 mutable default,
+    # SF001 domain mixing.
     bad.write_text(
-        "def worker(stats, lock, items=[]):\n"
-        "    value = stats.hits\n"
-        "    yield Delay(10)\n"
-        "    stats.hits = value + 1\n"
-    )
-    for module in ("repro.analysis.simlint", "repro.analysis.simrace"):
-        snapshot = tmp_path / f"{module.rsplit('.', 1)[-1]}.baseline.json"
-        wrote = _run_cli(module, ["repro", "--write-baseline", str(snapshot)], tmp_path)
-        assert wrote.returncode == 0
-        masked = _run_cli(module, ["repro", "--baseline", str(snapshot)], tmp_path)
-        assert masked.returncode == 0
-
-
-# --------------------------------------------------------------------- #
-# The `python -m repro analyze` umbrella
-# --------------------------------------------------------------------- #
-
-
-def test_analyze_umbrella_merges_all_three_tools(tmp_path):
-    bad = tmp_path / "repro" / "sim" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    # One file that trips all three families: SL008 mutable default,
-    # SR001 cross-yield RMW, SF001 domain mixing.
-    bad.write_text(
-        "def worker(stats, lock, lpn, ppn, items=[]):\n"
-        "    value = stats.hits\n"
-        "    yield Delay(10)\n"
-        "    stats.hits = value + 1\n"
+        "def worker(lpn, ppn, items=[]):\n"
         "    return lpn + ppn\n"
     )
     result = _run_cli("repro", ["analyze", "--json", "repro"], tmp_path)
@@ -586,11 +503,10 @@ def test_analyze_umbrella_merges_all_three_tools(tmp_path):
     assert payload["tool"] == "analyze"
     assert payload["schema_version"] == 1
     assert payload["count"] == len(payload["findings"])
-    assert set(payload["by_tool"]) == {"simlint", "simrace", "simflow"}
+    assert payload["files_checked"] == 1
+    assert payload["by_tool"] == {"simlint": 1, "simflow": 1}
     found_codes = {f["code"] for f in payload["findings"]}
-    assert "SL008" in found_codes
-    assert "SR001" in found_codes
-    assert "SF001" in found_codes
+    assert found_codes == {"SL008", "SF001"}
     for finding in payload["findings"]:
         assert set(finding) == {"tool", "path", "line", "col", "code", "message"}
 
@@ -602,27 +518,6 @@ def test_analyze_umbrella_clean_tree(tmp_path):
     result = _run_cli("repro", ["analyze", "repro"], tmp_path)
     assert result.returncode == 0
     assert "clean" in result.stdout
-
-
-def test_analyze_umbrella_shares_one_baseline(tmp_path):
-    bad = tmp_path / "repro" / "sim" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(
-        "def worker(stats, lock, lpn, ppn, items=[]):\n"
-        "    value = stats.hits\n"
-        "    yield Delay(10)\n"
-        "    stats.hits = value + 1\n"
-        "    return lpn + ppn\n"
-    )
-    snapshot = tmp_path / "all.baseline.json"
-    wrote = _run_cli(
-        "repro", ["analyze", "repro", "--write-baseline", str(snapshot)], tmp_path
-    )
-    assert wrote.returncode == 0
-    masked = _run_cli(
-        "repro", ["analyze", "repro", "--baseline", str(snapshot)], tmp_path
-    )
-    assert masked.returncode == 0
 
 
 def test_analyze_module_runs_standalone(tmp_path):
@@ -641,5 +536,9 @@ def test_analyze_module_runs_standalone(tmp_path):
 
 def test_repo_tree_is_simflow_clean():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    violations = analyze_paths([str(src)])
+    violations = [
+        violation
+        for path in iter_python_files([str(src)])
+        for violation in analyze_source(path.read_text(encoding="utf-8"), path=str(path))
+    ]
     assert violations == [], "\n".join(v.format() for v in violations)

@@ -9,8 +9,8 @@ import subprocess
 import sys
 import textwrap
 
+from repro.analysis.findings import infer_sim_scope, iter_python_files
 from repro.analysis.simlint import RULES, Violation, lint_source
-from repro.analysis.simlint.engine import infer_sim_scope
 
 SIM_PATH = "repro/sim/fake.py"
 
@@ -709,7 +709,7 @@ def test_violation_format():
 
 def _run_cli(args, tmp_path):
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.simlint", *args],
+        [sys.executable, "-m", "repro.analysis.analyze", *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -735,16 +735,11 @@ def test_cli_exits_zero_on_clean_tree(tmp_path):
     assert "clean" in result.stdout
 
 
-def test_cli_list_rules(tmp_path):
-    result = _run_cli(["--list-rules"], tmp_path)
-    assert result.returncode == 0
-    for code in ("SL001", "SL008"):
-        assert code in result.stdout
-
-
 def test_repo_tree_is_simlint_clean():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    from repro.analysis.simlint import lint_paths
-
-    violations = lint_paths([str(src)])
+    violations = [
+        violation
+        for path in iter_python_files([str(src)])
+        for violation in lint_source(path.read_text(encoding="utf-8"), path=str(path))
+    ]
     assert violations == [], "\n".join(v.format() for v in violations)
