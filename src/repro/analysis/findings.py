@@ -173,12 +173,16 @@ def unused_suppressions(
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
+    """Expand files/directories into a sorted list of ``*.py`` files.
+
+    A path that does not exist is kept as is, so reading it fails like any
+    unreadable file (exit 2) instead of the run passing it unchecked.
+    """
     out: List[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             out.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" or not path.exists():
             out.append(path)
     return out

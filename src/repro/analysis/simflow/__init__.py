@@ -15,6 +15,5 @@ on findings).  It has no dynamic counterpart: the domain types are plain
 
 from repro.analysis.findings import Violation
 from repro.analysis.simflow.engine import analyze_source
-from repro.analysis.simflow.rules import RULES
 
-__all__ = ["RULES", "Violation", "analyze_source"]
+__all__ = ["Violation", "analyze_source"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.units import DOMAIN_TYPES
 
@@ -82,8 +82,9 @@ def describe(kind: str) -> str:
 
 #: Exact identifier names with an unambiguous domain meaning in this
 #: codebase.  Deliberately conservative: ``frame`` (a Frame object),
-#: ``block`` (a FlashBlock object), ``offset`` and ``size`` (page-local
-#: byte math everywhere) are NOT mapped — annotation-only.
+#: ``block`` (an erase-block index in ``repro.ssd``, other things
+#: elsewhere), ``offset`` and ``size`` (page-local byte math everywhere)
+#: are NOT mapped — annotation-only.
 _EXACT_NAMES: Dict[str, str] = {
     "vpn": VPN,
     "pfn": PFN,

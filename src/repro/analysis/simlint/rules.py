@@ -25,9 +25,7 @@ class Rule:
     """Base class: one lint rule with a stable code."""
 
     code = "SL000"
-    title = "abstract rule"
     sim_scope_only = False
-    explanation = ""
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
         raise NotImplementedError
@@ -74,13 +72,7 @@ class WallClockRule(Rule):
     """SL001: no wall-clock time sources inside the simulator."""
 
     code = "SL001"
-    title = "wall-clock time source in simulation code"
     sim_scope_only = True
-    explanation = (
-        "Simulated time lives in SimClock as integer nanoseconds; reading "
-        "time.time()/datetime.now() (or sleeping) mixes host wall-clock time "
-        "into simulated timelines and breaks determinism."
-    )
 
     _TIME_ATTRS = {
         "time",
@@ -126,13 +118,7 @@ class UnseededRandomRule(Rule):
     """SL002: no unseeded / global-state RNG inside the simulator."""
 
     code = "SL002"
-    title = "unseeded or global-state RNG in simulation code"
     sim_scope_only = True
-    explanation = (
-        "Reproducible experiments need explicit, seeded generators "
-        "(np.random.default_rng(seed)); the stdlib random module's global "
-        "state and numpy's legacy np.random.* functions are forbidden here."
-    )
 
     _NUMPY_LEGACY = {
         "rand",
@@ -250,13 +236,7 @@ class FloatDivLatencyRule(Rule):
     """SL003: float division must not feed a latency (``*_ns``) value."""
 
     code = "SL003"
-    title = "float division feeding a latency/Delay value"
     sim_scope_only = False
-    explanation = (
-        "Latencies are integer nanoseconds; true division (/) silently "
-        "produces floats that drift and truncate downstream.  Use floor "
-        "division (//) or restructure the arithmetic."
-    )
 
     @staticmethod
     def _is_ns_target(target: ast.expr) -> bool:
@@ -323,13 +303,7 @@ class UnitSuffixRule(Rule):
     """SL004: timing names inside the simulator must carry the ``_ns`` unit."""
 
     code = "SL004"
-    title = "timing name with a non-ns unit suffix"
     sim_scope_only = True
-    explanation = (
-        "All latencies inside the simulator are integer nanoseconds; a "
-        "_us/_ms/_sec-suffixed name is either a conversion (suppress it "
-        "explicitly) or a unit bug waiting to be added to a ns value."
-    )
 
     _BAD_SUFFIXES = ("_us", "_ms", "_sec", "_secs", "_seconds")
 
@@ -384,13 +358,7 @@ class YieldCommandRule(Rule):
     """SL005: DES process generators may only yield known command types."""
 
     code = "SL005"
-    title = "unknown yield in a DES process generator"
     sim_scope_only = False
-    explanation = (
-        "A generator driven by repro.sim.des.Simulator must yield only "
-        "Delay/Acquire/Release/AcquireSlot/ReleaseSlot; anything else is a "
-        "TypeError at simulation time."
-    )
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(tree):
@@ -445,15 +413,7 @@ class LockBalanceRule(Rule):
     """SL006: every Acquire in a DES process needs a Release on all paths."""
 
     code = "SL006"
-    title = "unbalanced Acquire/Release in a DES process"
     sim_scope_only = False
-    explanation = (
-        "A process that exits while holding a lock (or semaphore slot) "
-        "deadlocks every waiter.  The checker runs a lightweight "
-        "path-sensitive walk: it reports locks with no matching Release at "
-        "all, and locks provably still held on every exit path.  Exception "
-        "paths (raise) are exempt."
-    )
 
     #: Bail out of the path walk when the state set explodes.
     _MAX_STATES = 64
@@ -600,14 +560,7 @@ class CounterDeclRule(Rule):
     """SL007: stats counters must be declared before they are incremented."""
 
     code = "SL007"
-    title = "increment of an undeclared stats attribute"
     sim_scope_only = False
-    explanation = (
-        "A typo'd self._countr.add() only fails when that code path runs.  "
-        "Any self.X.add()/self.X.record() call must have a matching "
-        "``self.X = ...`` declaration in the class (or an in-module base).  "
-        "Classes with bases imported from other modules are skipped."
-    )
 
     _INCREMENT_METHODS = {"add", "record"}
 
@@ -697,13 +650,7 @@ class MutableDefaultRule(Rule):
     """SL008: no mutable default arguments."""
 
     code = "SL008"
-    title = "mutable default argument"
     sim_scope_only = False
-    explanation = (
-        "A mutable default ([] / {} / set()) is shared across every call; "
-        "state leaks between invocations.  Default to None and construct "
-        "inside the function."
-    )
 
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
 
@@ -746,14 +693,7 @@ class FaultRandomnessRule(Rule):
     """
 
     code = "SL009"
-    title = "non-injected randomness in fault-injection code"
     sim_scope_only = False
-    explanation = (
-        "Fault plans are replayable byte-for-byte only if every probability "
-        "draw comes from the injector's seeded per-site generators; "
-        "module-level random / legacy np.random state breaks the replay "
-        "guarantee silently."
-    )
 
     _NUMPY_LEGACY = UnseededRandomRule._NUMPY_LEGACY
     _NUMPY_ALLOWED = UnseededRandomRule._NUMPY_ALLOWED

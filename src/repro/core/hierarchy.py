@@ -37,32 +37,6 @@ from repro.ssd.device import ByteAddressableSSD
 from repro.units import LPN, VPN, HostPage, OffsetBytes, TimeNs
 
 
-class _InFlightPromotion:
-    """Book-keeping for one promotion between start and completion."""
-
-    __slots__ = ("vpn", "lpn", "ssd_tag", "frame", "plb_entry", "snapshot", "was_dirty", "started_ns")
-
-    def __init__(
-        self,
-        vpn: VPN,
-        lpn: LPN,
-        ssd_tag: HostPage,
-        frame: Frame,
-        plb_entry: PLBEntry,
-        snapshot: Optional[bytes],
-        was_dirty: bool,
-        started_ns: TimeNs,
-    ) -> None:
-        self.vpn = vpn
-        self.lpn = lpn
-        self.ssd_tag = ssd_tag
-        self.frame = frame
-        self.plb_entry = plb_entry
-        self.snapshot = snapshot
-        self.was_dirty = was_dirty
-        self.started_ns = started_ns
-
-
 class FlatFlash(MemorySystem):
     """The paper's system: byte-addressable SSD + DRAM, one flat space."""
 
@@ -123,10 +97,9 @@ class FlatFlash(MemorySystem):
         if config.promotion.enabled:
             self.ssd.promotion_manager = promotion_manager
 
-        # In-flight promotions, keyed by the page's host-visible SSD tag.
-        self._in_flight: Dict[HostPage, _InFlightPromotion] = {}
-        # Frames pinned as promotion destinations (not evictable).
-        self._pinned_frames: set = set()
+        # In-flight promotions live in the PLB (``bridge.plb``) alone: an
+        # entry's ``mem_tag`` frame is pinned (not evictable) and belongs to
+        # ``frame.vpn`` until the entry retires.
         # Reverse map for lazy GC remap propagation.
         self._ssd_page_to_vpn: Dict[HostPage, VPN] = {}
 
@@ -213,9 +186,9 @@ class FlatFlash(MemorySystem):
     ) -> AccessResult:
         ssd_page = pte.ssd_page
         assert ssd_page is not None
-        flight = self._in_flight.get(ssd_page)
-        if flight is not None:
-            return self._plb_access(flight, offset, size, is_write, data)
+        entry = self.bridge.plb.peek(ssd_page)
+        if entry is not None:
+            return self._plb_access(entry, offset, size, is_write, data)
         # Coherent (CAPI-style) interconnect, §3.1: lines backed by the SSD
         # BAR may live in the processor cache, so re-references hit at cache
         # latency instead of paying a PCIe round trip.  Writes are
@@ -393,37 +366,40 @@ class FlatFlash(MemorySystem):
         last = (offset + size - 1) // line_size
         return range(first, last + 1)
 
-    def _advance_inbound(self, flight: _InFlightPromotion) -> None:
+    def _advance_inbound(self, entry: PLBEntry) -> None:
         """Copy inbound lines that have arrived by the current sim time."""
-        entry = flight.plb_entry
         total = len(entry.copied)
         promotion_ns = self.config.latency.page_promotion_ns
-        elapsed = self.clock.now - flight.started_ns
         if promotion_ns <= 0:
             progress = total
         else:
+            elapsed = self.clock.now - (entry.complete_at_ns - promotion_ns)
             progress = min(total, (elapsed * total) // promotion_ns)
+        self._deliver_inbound(entry, progress)
+
+    def _deliver_inbound(self, entry: PLBEntry, upto: int) -> None:
+        """Deliver inbound lines up to (not including) ``upto``; each lands
+        in the destination frame unless a CPU store already owns it."""
+        frame = self.dram.frames[entry.mem_tag]
         line_size = self.config.geometry.cacheline_size
-        while entry.inbound_pos < progress:
+        while entry.inbound_pos < upto:
             line = entry.inbound_pos
-            if self.bridge.plb.inbound_line(entry, line) and flight.snapshot is not None:
+            if self.bridge.plb.inbound_line(entry, line) and entry.snapshot is not None:
                 start = line * line_size
-                self.dram.write_bytes(
-                    flight.frame, start, flight.snapshot[start : start + line_size]
-                )
+                self.dram.write_bytes(frame, start, entry.snapshot[start : start + line_size])
             entry.inbound_pos += 1
 
     def _plb_access(
         self,
-        flight: _InFlightPromotion,
+        entry: PLBEntry,
         offset: OffsetBytes,
         size: int,
         is_write: bool,
         data: Optional[bytes],
     ) -> AccessResult:
         self._plb_hits.add()
-        self._advance_inbound(flight)
-        entry = flight.plb_entry
+        self._advance_inbound(entry)
+        frame = self.dram.frames[entry.mem_tag]
         latency = self.config.latency
         lines = self._line_range(offset, size)
         if is_write:
@@ -434,20 +410,18 @@ class FlatFlash(MemorySystem):
             # Copied bit would discard the snapshot's other bytes.
             line_size = self.config.geometry.cacheline_size
             for line in lines:
-                if not entry.copied[line] and flight.snapshot is not None:
+                if not entry.copied[line] and entry.snapshot is not None:
                     start = line * line_size
                     self.dram.write_bytes(
-                        flight.frame,
-                        start,
-                        flight.snapshot[start : start + line_size],
+                        frame, start, entry.snapshot[start : start + line_size]
                     )
                 self.bridge.plb.cpu_store(entry, line)
             self.dram.write_bytes(
-                flight.frame, offset, data if data is not None else b"\x00" * size
+                frame, offset, data if data is not None else b"\x00" * size
             )
             return AccessResult(latency.dram_store_ns, "plb")
         if all(self.bridge.plb.cpu_load_from_dram(entry, line) for line in lines):
-            payload = self.dram.read_bytes(flight.frame, offset, size)
+            payload = self.dram.read_bytes(frame, offset, size)
             return AccessResult(latency.dram_load_ns, "plb", data=payload)
         # At least one line is still on its way: the PLB splits the request,
         # serving copied lines from the destination frame (they may carry
@@ -455,16 +429,11 @@ class FlatFlash(MemorySystem):
         cost = self._plb_forward_read_cost(size)
         payload = None
         if self.config.track_data:
-            payload = self._assemble_plb_lines(flight, entry, lines, offset, size)
+            payload = self._assemble_plb_lines(entry, lines, offset, size)
         return AccessResult(cost, "plb", data=payload)
 
     def _assemble_plb_lines(
-        self,
-        flight: _InFlightPromotion,
-        entry: PLBEntry,
-        lines: List[int],
-        offset: int,
-        size: int,
+        self, entry: PLBEntry, lines: range, offset: int, size: int
     ) -> bytes:
         """Gather the payload of a split PLB read, line by line.
 
@@ -472,6 +441,7 @@ class FlatFlash(MemorySystem):
         redirected stores), the rest from the promotion snapshot.
         """
         line_size = self.config.geometry.cacheline_size
+        frame = self.dram.frames[entry.mem_tag]
         assembled = bytearray(size)
         for line in lines:
             line_start = line * line_size
@@ -479,9 +449,9 @@ class FlatFlash(MemorySystem):
             lo = max(offset, line_start)
             hi = min(offset + size, line_end)
             if self.bridge.plb.cpu_load_from_dram(entry, line):
-                chunk = self.dram.read_bytes(flight.frame, lo, hi - lo)
-            elif flight.snapshot is not None:
-                chunk = flight.snapshot[lo:hi]
+                chunk = self.dram.read_bytes(frame, lo, hi - lo)
+            elif entry.snapshot is not None:
+                chunk = entry.snapshot[lo:hi]
             else:
                 chunk = b"\x00" * (hi - lo)
             if chunk is not None:
@@ -537,21 +507,21 @@ class FlatFlash(MemorySystem):
             return 0
         if not self.config.plb_enabled:
             return self._promote_stalling(vpn, ssd_page)
-        if ssd_page in self._in_flight or not self.bridge.plb.has_free_entry:
+        plb = self.bridge.plb
+        if plb.peek(ssd_page) is not None or not plb.has_free_entry:
             return 0
         frame = self._obtain_frame(vpn)
         if frame is None:
             return 0
         snapshot, was_dirty, dma_cost = self.ssd.read_page_for_promotion(ssd_page)
         self._background_ns.add(dma_cost)
+        # A dirty SSD-Cache source marks the frame dirty now, so eviction
+        # cannot lose the newest copy; stores during the flight add to it.
+        frame.dirty = was_dirty
         num_lines = self.config.geometry.cachelines_per_page
         complete_at = self.clock.now + self.config.latency.page_promotion_ns
-        plb_entry = self.bridge.plb.start(ssd_page, frame.index, num_lines, complete_at)
-        assert plb_entry is not None  # has_free_entry checked above
-        self._in_flight[ssd_page] = _InFlightPromotion(
-            vpn, lpn, ssd_page, frame, plb_entry, snapshot, was_dirty, self.clock.now
-        )
-        self._pinned_frames.add(frame.index)
+        entry = plb.start(ssd_page, frame.index, num_lines, complete_at, snapshot)
+        assert entry is not None  # has_free_entry checked above
         self._promotions.add()
         self._emit("promotion_start", vpn=vpn, ssd_page=ssd_page, frame=frame.index)
         return 0
@@ -574,7 +544,7 @@ class FlatFlash(MemorySystem):
             pte is None
             or pte.domain is not Domain.SSD
             or pte.persist
-            or pte.ssd_page in self._in_flight
+            or self.bridge.plb.peek(pte.ssd_page) is not None
         ):
             return
         lpn = self._vpn_to_lpn.get(next_vpn)
@@ -597,55 +567,37 @@ class FlatFlash(MemorySystem):
         if frame.data is not None and snapshot is not None:
             frame.data[:] = snapshot
         frame.dirty = was_dirty
-        pte = self.page_table.entry(vpn)
-        pte.point_to_dram(frame.index)
-        self._ssd_page_to_vpn.pop(ssd_page, None)
-        latency = self.config.latency
-        stall = dma_cost + latency.page_promotion_ns + latency.pte_tlb_update_ns
-        stall += self.tlb.invalidate(vpn)
+        stall = dma_cost + self.config.latency.page_promotion_ns
+        stall += self._point_pte_at(frame, ssd_page)
         self._promotions.add()
         self._pages_in.add()
         return stall
 
+    def _point_pte_at(self, frame: Frame, ssd_page: HostPage) -> TimeNs:
+        """Point the promoted page's PTE at its DRAM ``frame``; returns the
+        PTE/TLB update cost, which the caller charges to the background or
+        (PLB off) to the access."""
+        self.page_table.entry(frame.vpn).point_to_dram(frame.index)
+        self._ssd_page_to_vpn.pop(ssd_page, None)
+        return self.config.latency.pte_tlb_update_ns + self.tlb.invalidate(frame.vpn)
+
     def _settle_promotions(self) -> None:
         """Retire in-flight promotions whose copy has completed."""
-        if not self._in_flight:
+        plb = self.bridge.plb
+        if not plb.in_flight:
             return
         now = self.clock.now
-        finished = [
-            flight
-            for flight in self._in_flight.values()
-            if flight.plb_entry.complete_at_ns <= now
-        ]
-        for flight in finished:
-            self._complete_promotion(flight)
+        for entry in plb.entries():
+            if entry.complete_at_ns <= now:
+                self._complete_promotion(entry)
 
-    def _complete_promotion(self, flight: _InFlightPromotion) -> None:
-        entry = flight.plb_entry
-        total = len(entry.copied)
-        line_size = self.config.geometry.cacheline_size
-        # Deliver any trailing inbound lines.
-        while entry.inbound_pos < total:
-            line = entry.inbound_pos
-            if self.bridge.plb.inbound_line(entry, line) and flight.snapshot is not None:
-                start = line * line_size
-                self.dram.write_bytes(
-                    flight.frame, start, flight.snapshot[start : start + line_size]
-                )
-            entry.inbound_pos += 1
+    def _complete_promotion(self, entry: PLBEntry) -> None:
+        self._deliver_inbound(entry, len(entry.copied))  # trailing lines
         self.bridge.plb.retire(entry)
-        del self._in_flight[flight.ssd_tag]
-        self._pinned_frames.discard(flight.frame.index)
-        # Stores during the flight marked the frame dirty; a dirty SSD-Cache
-        # source also forces dirty so eviction cannot lose the newest copy.
-        flight.frame.dirty = flight.frame.dirty or flight.was_dirty
-        pte = self.page_table.entry(flight.vpn)
-        pte.point_to_dram(flight.frame.index)
-        self._ssd_page_to_vpn.pop(flight.ssd_tag, None)
-        self._background_ns.add(self.config.latency.pte_tlb_update_ns)
-        self._background_ns.add(self.tlb.invalidate(flight.vpn))
+        frame = self.dram.frames[entry.mem_tag]
+        self._background_ns.add(self._point_pte_at(frame, entry.ssd_tag))
         self._pages_in.add()
-        self._emit("promotion_complete", vpn=flight.vpn, frame=flight.frame.index)
+        self._emit("promotion_complete", vpn=frame.vpn, frame=frame.index)
 
     # ------------------------------------------------------------------ #
     # Eviction (LRU page back to the SSD)
@@ -662,8 +614,9 @@ class FlatFlash(MemorySystem):
         return self.dram.allocate(vpn)
 
     def _pick_victim(self) -> Optional[Frame]:
+        pinned = {entry.mem_tag for entry in self.bridge.plb.entries()}
         for frame in self.dram.iter_lru():
-            if frame.index not in self._pinned_frames:
+            if frame.index not in pinned:
                 return frame
         return None
 
@@ -719,8 +672,8 @@ class FlatFlash(MemorySystem):
 
     def quiesce(self) -> None:
         """Finish all in-flight promotions (end-of-experiment settling)."""
-        for flight in list(self._in_flight.values()):
-            self._complete_promotion(flight)
+        for entry in self.bridge.plb.entries():
+            self._complete_promotion(entry)
         self._drain_remaps()
 
     @property

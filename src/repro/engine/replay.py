@@ -13,8 +13,8 @@ Python call tower for the common case.  The dispatch rule per row:
   is exact.  FlatFlash's per-access maintenance hooks
   (``_settle_promotions``, ``_drain_remaps``) depend on access order
   and are invoked for real — but only when their cheap emptiness guards
-  (``_in_flight``, ``ssd._remap``) say they would do work, which is
-  exactly when the scalar path does work too.
+  (the PLB's entry table, ``ssd._remap``) say they would do work, which
+  is exactly when the scalar path does work too.
 
 * **Delegated, thin** — a single-page access whose PTE is not DRAM
   resident (SSD direct access, page fault, in-flight promotion) still
@@ -168,7 +168,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
 
     is_flat = isinstance(system, FlatFlash)
     if is_flat:
-        in_flight = system._in_flight
+        in_flight = system.bridge.plb._by_ssd_tag
         ssd_remap = system.ssd._remap
         settle = system._settle_promotions
         drain = system._drain_remaps

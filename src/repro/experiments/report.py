@@ -7,7 +7,7 @@ embeds these).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -38,10 +38,6 @@ class Table:
                 f"row has {len(cells)} cells for {len(self.columns)} columns"
             )
         self.rows.append([_render_cell(cell) for cell in cells])
-
-    def extend(self, rows: Iterable[Sequence[Cell]]) -> None:
-        for row in rows:
-            self.add_row(*row)
 
     def render(self) -> str:
         widths = [len(column) for column in self.columns]

@@ -32,20 +32,25 @@ from repro.units import PFN, HostPage, TimeNs
 class PLBEntry:
     """One in-flight page promotion."""
 
-    __slots__ = ("ssd_tag", "mem_tag", "copied", "inbound_pos", "complete_at_ns")
+    __slots__ = ("ssd_tag", "mem_tag", "copied", "inbound_pos", "complete_at_ns", "snapshot")
 
     def __init__(
-        self, ssd_tag: HostPage, mem_tag: PFN, num_lines: int, complete_at_ns: TimeNs
+        self,
+        ssd_tag: HostPage,
+        mem_tag: PFN,
+        num_lines: int,
+        complete_at_ns: TimeNs,
+        snapshot: Optional[bytes] = None,
     ) -> None:
         self.ssd_tag = ssd_tag  # source: host-visible SSD page number
         self.mem_tag = mem_tag  # destination: DRAM frame index
         self.copied: List[bool] = [False] * num_lines
         self.inbound_pos = 0  # next line the SSD-side copy will deliver
         self.complete_at_ns = complete_at_ns
-
-    @property
-    def all_copied(self) -> bool:
-        return all(self.copied)
+        # The page as read from the SSD when the promotion started: the
+        # source of inbound lines and of reads forwarded to the SSD (None
+        # when payloads are not tracked).
+        self.snapshot = snapshot
 
     def __repr__(self) -> str:
         done = sum(self.copied)
@@ -78,14 +83,19 @@ class PLB:
         return len(self._by_ssd_tag) < self.capacity
 
     def start(
-        self, ssd_tag: HostPage, mem_tag: PFN, num_lines: int, complete_at_ns: TimeNs
+        self,
+        ssd_tag: HostPage,
+        mem_tag: PFN,
+        num_lines: int,
+        complete_at_ns: TimeNs,
+        snapshot: Optional[bytes] = None,
     ) -> Optional[PLBEntry]:
         """Begin tracking a promotion; None when the table is full."""
         if ssd_tag in self._by_ssd_tag:
             raise ValueError(f"promotion of SSD page {ssd_tag} already in flight")
         if not self.has_free_entry:
             return None
-        entry = PLBEntry(ssd_tag, mem_tag, num_lines, complete_at_ns)
+        entry = PLBEntry(ssd_tag, mem_tag, num_lines, complete_at_ns, snapshot)
         self._by_ssd_tag[ssd_tag] = entry
         self._started.add()
         return entry
@@ -95,6 +105,10 @@ class PLB:
         entry = self._by_ssd_tag.get(ssd_tag)
         self._hits.record(entry is not None)
         return entry
+
+    def peek(self, ssd_tag: HostPage) -> Optional[PLBEntry]:
+        """The entry for an SSD page, without counting ``plb.hits``."""
+        return self._by_ssd_tag.get(ssd_tag)
 
     def inbound_line(self, entry: PLBEntry, line: int) -> bool:
         """An inbound line arrived from the SSD.

@@ -1,5 +1,5 @@
 """PCIe interconnect model."""
 
-from repro.interconnect.pcie import BarWindow, PCIeLink, PCIeTransaction
+from repro.interconnect.pcie import BarWindow, PCIeLink
 
-__all__ = ["PCIeLink", "BarWindow", "PCIeTransaction"]
+__all__ = ["PCIeLink", "BarWindow"]

@@ -20,7 +20,6 @@ TLP-level simulation:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -68,16 +67,6 @@ class DeviceLostError(RuntimeError):
         #: Time the host observably lost discovering the dead link (the
         #: completion-timeout window).
         self.latency_ns = latency_ns
-
-
-class PCIeTransaction(enum.Enum):
-    """Transaction kinds the link accounts for."""
-
-    MMIO_READ = "mmio_read"
-    MMIO_WRITE = "mmio_write"
-    MMIO_ATOMIC = "mmio_atomic"
-    DMA_TO_HOST = "dma_to_host"
-    DMA_FROM_HOST = "dma_from_host"
 
 
 @dataclass(frozen=True)

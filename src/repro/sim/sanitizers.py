@@ -169,14 +169,16 @@ class ClockSanitizer:
 # Flash
 # --------------------------------------------------------------------- #
 
-_SHADOW_ERASED = 0
-_SHADOW_PROGRAMMED = 1
-_SHADOW_INVALID = 2
+#: NAND page-state codes: one byte per page, in both
+#: ``FlashArray.page_state`` and the sanitizer's shadow.
+PAGE_ERASED = 0
+PAGE_PROGRAMMED = 1
+PAGE_INVALID = 2
 
-_SHADOW_NAMES = {
-    _SHADOW_ERASED: "erased",
-    _SHADOW_PROGRAMMED: "programmed",
-    _SHADOW_INVALID: "invalid",
+PAGE_STATE_NAMES = {
+    PAGE_ERASED: "erased",
+    PAGE_PROGRAMMED: "programmed",
+    PAGE_INVALID: "invalid",
 }
 
 
@@ -184,9 +186,9 @@ class FlashSanitizer:
     """Shadow NAND state machine for a :class:`~repro.ssd.flash.FlashArray`.
 
     Tracks every page's state independently of the array, so state
-    corruption (e.g. code flipping ``block.states`` directly) is caught
-    on the next program/erase/invalidate, and GC accounting leaks are
-    caught by :meth:`check_accounting`.
+    corruption (e.g. code flipping ``FlashArray.page_state`` directly) is
+    caught on the next program/erase/invalidate, and GC accounting leaks
+    are caught by :meth:`check_accounting`.
     """
 
     __slots__ = ("_states", "_pages_per_block", "_num_blocks", "_valid_pages", "_erased_clean")
@@ -212,33 +214,33 @@ class FlashSanitizer:
         return self._valid_pages
 
     def _state_name(self, ppn: int) -> str:
-        return _SHADOW_NAMES[self._states[ppn]]
+        return PAGE_STATE_NAMES[self._states[ppn]]
 
     def on_program(self, ppn: int) -> None:
-        if self._states[ppn] != _SHADOW_ERASED:
+        if self._states[ppn] != PAGE_ERASED:
             raise FlashSanitizerError(
                 f"program to non-erased page ppn={ppn} "
                 f"(block {ppn // self._pages_per_block}, shadow state "
                 f"{self._state_name(ppn)}): NAND pages must be erased before "
                 f"reprogramming"
             )
-        self._states[ppn] = _SHADOW_PROGRAMMED
+        self._states[ppn] = PAGE_PROGRAMMED
         self._valid_pages += 1
         self._erased_clean.discard(ppn // self._pages_per_block)
 
     def on_invalidate(self, ppn: int) -> None:
-        if self._states[ppn] != _SHADOW_PROGRAMMED:
+        if self._states[ppn] != PAGE_PROGRAMMED:
             raise FlashSanitizerError(
                 f"invalidate of non-programmed page ppn={ppn} (shadow state "
                 f"{self._state_name(ppn)})"
             )
-        self._states[ppn] = _SHADOW_INVALID
+        self._states[ppn] = PAGE_INVALID
         self._valid_pages -= 1
 
     def on_erase(self, block_index: int) -> None:
         first = block_index * self._pages_per_block
         block_states = self._states[first : first + self._pages_per_block]
-        valid = sum(1 for s in block_states if s == _SHADOW_PROGRAMMED)
+        valid = sum(1 for s in block_states if s == PAGE_PROGRAMMED)
         if valid:
             raise FlashSanitizerError(
                 f"erase of block {block_index} would destroy {valid} valid "
@@ -251,19 +253,19 @@ class FlashSanitizer:
                 f"program/erase cycle for nothing"
             )
         for offset in range(self._pages_per_block):
-            self._states[first + offset] = _SHADOW_ERASED
+            self._states[first + offset] = PAGE_ERASED
         self._erased_clean.add(block_index)
 
     def on_program_fail(self, ppn: int) -> None:
         """An injected program failure burned the page (it was announced via
         :meth:`on_program` first, so the shadow holds PROGRAMMED)."""
-        if self._states[ppn] != _SHADOW_PROGRAMMED:
+        if self._states[ppn] != PAGE_PROGRAMMED:
             raise FlashSanitizerError(
                 f"program-fail on page ppn={ppn} whose shadow state is "
                 f"{self._state_name(ppn)}, not programmed: fault hooks must "
                 f"follow the announced program"
             )
-        self._states[ppn] = _SHADOW_INVALID
+        self._states[ppn] = PAGE_INVALID
         self._valid_pages -= 1
 
     def on_erase_fail(self, block_index: int) -> None:
@@ -272,19 +274,19 @@ class FlashSanitizer:
         or erased again, and accounting only counts PROGRAMMED pages."""
         first = block_index * self._pages_per_block
         for offset in range(self._pages_per_block):
-            self._states[first + offset] = _SHADOW_INVALID
+            self._states[first + offset] = PAGE_INVALID
         self._erased_clean.discard(block_index)
 
-    def resync(self, states: "list[int]") -> None:
-        """Rebuild the shadow from authoritative page states (shadow codes
-        0/1/2) after a power-loss image restore."""
+    def resync(self, states: bytes) -> None:
+        """Rebuild the shadow from the array's page-state table after a
+        power-loss image restore."""
         if len(states) != self._num_blocks * self._pages_per_block:
             raise FlashSanitizerError(
                 f"resync with {len(states)} page states, expected "
                 f"{self._num_blocks * self._pages_per_block}"
             )
         self._states = bytearray(states)
-        self._valid_pages = sum(1 for s in states if s == _SHADOW_PROGRAMMED)
+        self._valid_pages = self._states.count(PAGE_PROGRAMMED)
         self._erased_clean.clear()
 
     def check_accounting(self, mapped_pages: int, context: str = "") -> None:

@@ -1,7 +1,7 @@
 """Byte-addressable SSD substrate: flash, FTL, SSD-Cache, GC, device."""
 
 from repro.ssd.device import ByteAddressableSSD
-from repro.ssd.flash import FlashArray, FlashPageState
+from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.rrip import RRIPSet
@@ -9,7 +9,6 @@ from repro.ssd.ssd_cache import SSDCache
 
 __all__ = [
     "FlashArray",
-    "FlashPageState",
     "PageFTL",
     "RRIPSet",
     "SSDCache",

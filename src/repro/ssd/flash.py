@@ -12,111 +12,33 @@ Addresses here are *physical page numbers* (ppn), laid out block-major:
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.config import LatencyConfig
-from repro.sim.sanitizers import FlashSanitizer
+from repro.sim.sanitizers import (
+    PAGE_ERASED,
+    PAGE_INVALID,
+    PAGE_PROGRAMMED,
+    PAGE_STATE_NAMES,
+    FlashSanitizer,
+)
 from repro.sim.stats import StatRegistry
 from repro.units import PPN, BlockIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.plan import FaultInjector
 
-
-class FlashPageState(enum.Enum):
-    ERASED = "erased"
-    PROGRAMMED = "programmed"
-    INVALID = "invalid"
-
-
-#: Page-state encoding shared with the FlashSanitizer shadow (resync after
-#: a power-loss image restore).
-_SHADOW_CODE = {
-    FlashPageState.ERASED: 0,
-    FlashPageState.PROGRAMMED: 1,
-    FlashPageState.INVALID: 2,
-}
-
-
-class FlashBlock:
-    """One erase block: page states, an erase counter and a bad-block flag.
-
-    Per-state page counts are cached and maintained incrementally — GC
-    victim selection scans every block's counts per run, so recomputing
-    them from ``states`` would be quadratic in device size.  Page states
-    change only through the three transitions and the whole-block resets
-    below, which keep the counts in sync.
-    """
-
-    __slots__ = (
-        "index",
-        "pages_per_block",
-        "states",
-        "erase_count",
-        "bad",
-        "_erased",
-        "_invalid",
-        "_valid",
-    )
-
-    def __init__(self, index: int, pages_per_block: int) -> None:
-        self.index = index
-        self.pages_per_block = pages_per_block
-        self.states: List[FlashPageState] = [FlashPageState.ERASED] * pages_per_block
-        self.erase_count = 0
-        # Retired: an erase failed here, or the wear limit was reached.  Bad
-        # blocks never rejoin the free rotation and are skipped by GC.
-        self.bad = False
-        self._erased = pages_per_block
-        self._invalid = 0
-        self._valid = 0
-
-    def mark_programmed(self, offset: int) -> None:
-        """ERASED -> PROGRAMMED: a successful program."""
-        self.states[offset] = FlashPageState.PROGRAMMED
-        self._erased -= 1
-        self._valid += 1
-
-    def mark_burned(self, offset: int) -> None:
-        """ERASED -> INVALID: a failed program burns the page."""
-        self.states[offset] = FlashPageState.INVALID
-        self._erased -= 1
-        self._invalid += 1
-
-    def mark_invalid(self, offset: int) -> None:
-        """PROGRAMMED -> INVALID: an out-of-place overwrite."""
-        self.states[offset] = FlashPageState.INVALID
-        self._valid -= 1
-        self._invalid += 1
-
-    def reset_erased(self) -> None:
-        """Whole-block erase: every page is ERASED again."""
-        self._erased = self.pages_per_block
-        self._invalid = 0
-        self._valid = 0
-
-    def recount(self) -> None:
-        """Rebuild the cached counts from ``states`` (image restore)."""
-        self._erased = sum(1 for s in self.states if s is FlashPageState.ERASED)
-        self._invalid = sum(1 for s in self.states if s is FlashPageState.INVALID)
-        self._valid = len(self.states) - self._erased - self._invalid
-
-    @property
-    def erased_pages(self) -> int:
-        return self._erased
-
-    @property
-    def invalid_pages(self) -> int:
-        return self._invalid
-
-    @property
-    def valid_pages(self) -> int:
-        return self._valid
-
-
 class FlashArray:
-    """A NAND array with program/read/erase semantics and wear tracking."""
+    """A NAND array with program/read/erase semantics and wear tracking.
+
+    Page state is one flat table, ``page_state``: a byte per ppn holding
+    ``PAGE_ERASED``, ``PAGE_PROGRAMMED`` or ``PAGE_INVALID``.  Per-block
+    facts are flat lists indexed by block: ``valid_pages`` and
+    ``invalid_pages`` (kept in step with the table, since GC victim
+    selection reads them for every block on every run), ``erase_counts``
+    and ``bad`` (retired: an erase failed there, or the wear limit was
+    reached; bad blocks never rejoin the free rotation and GC skips them).
+    """
 
     def __init__(
         self,
@@ -144,7 +66,11 @@ class FlashArray:
         self.latency = latency
         self.track_data = track_data
         self.total_pages = num_blocks * pages_per_block
-        self.blocks = [FlashBlock(i, pages_per_block) for i in range(num_blocks)]
+        self.page_state = bytearray(self.total_pages)  # all PAGE_ERASED
+        self.valid_pages: List[int] = [0] * num_blocks
+        self.invalid_pages: List[int] = [0] * num_blocks
+        self.erase_counts: List[int] = [0] * num_blocks
+        self.bad: List[bool] = [False] * num_blocks
         self.sanitizer = sanitizer
         if sanitizer is not None:
             sanitizer.attach(num_blocks, pages_per_block)
@@ -166,19 +92,11 @@ class FlashArray:
         if not 0 <= ppn < self.total_pages:
             raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
 
-    def block_of(self, ppn: PPN) -> FlashBlock:
-        self._check_ppn(ppn)
-        return self.blocks[ppn // self.pages_per_block]
-
     def channel_of(self, ppn: PPN) -> int:
         """The channel a page's operations occupy (blocks stripe across
         channels, the common SSD layout)."""
         self._check_ppn(ppn)
         return (ppn // self.pages_per_block) % self.num_channels
-
-    def state_of(self, ppn: PPN) -> FlashPageState:
-        block = self.block_of(ppn)
-        return block.states[ppn % self.pages_per_block]
 
     def read(self, ppn: PPN) -> "FlashOp":
         """Read one page.  Reading erased/invalid pages is allowed (the FTL
@@ -204,27 +122,30 @@ class FlashArray:
         """Program one erased page.  Programming a non-erased page is a bug
         in the FTL and raises."""
         self._check_ppn(ppn)
-        block = self.blocks[ppn // self.pages_per_block]
-        offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_program(ppn)
-        state = block.states[offset]
-        if state is not FlashPageState.ERASED:
-            raise RuntimeError(f"program to non-erased page ppn={ppn} ({state.value})")
+        state = self.page_state[ppn]
+        if state != PAGE_ERASED:
+            raise RuntimeError(
+                f"program to non-erased page ppn={ppn} ({PAGE_STATE_NAMES[state]})"
+            )
         if data is not None and len(data) != self.page_size:
             raise ValueError(
                 f"program data must be exactly {self.page_size} bytes, got {len(data)}"
             )
+        block = ppn // self.pages_per_block
         if self.faults is not None and self.faults.fires("nand.program"):
             # Program failure burns the page: it goes straight to INVALID
             # (unusable until its block is erased) and holds no data.  The
             # FTL retries on the next frontier page.
-            block.mark_burned(offset)
+            self.page_state[ppn] = PAGE_INVALID
+            self.invalid_pages[block] += 1
             self._program_fails.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_program_fail(ppn)
             return FlashOp(self.latency.flash_program_page_ns, None, failed=True)
-        block.mark_programmed(offset)
+        self.page_state[ppn] = PAGE_PROGRAMMED
+        self.valid_pages[block] += 1
         self._programs.add()
         if self.track_data:
             self._data[ppn] = bytes(data) if data is not None else b"\x00" * self.page_size
@@ -233,13 +154,14 @@ class FlashArray:
     def invalidate(self, ppn: PPN) -> None:
         """Mark a programmed page invalid (out-of-place overwrite)."""
         self._check_ppn(ppn)
-        block = self.blocks[ppn // self.pages_per_block]
-        offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_invalidate(ppn)
-        if block.states[offset] is not FlashPageState.PROGRAMMED:
+        if self.page_state[ppn] != PAGE_PROGRAMMED:
             raise RuntimeError(f"invalidate of non-programmed page ppn={ppn}")
-        block.mark_invalid(offset)
+        self.page_state[ppn] = PAGE_INVALID
+        block = ppn // self.pages_per_block
+        self.valid_pages[block] -= 1
+        self.invalid_pages[block] += 1
         if self.track_data:
             self._data.pop(ppn, None)
 
@@ -248,35 +170,36 @@ class FlashArray:
         the GC must relocate them first."""
         if not 0 <= block_index < self.num_blocks:
             raise ValueError(f"block {block_index} out of range [0, {self.num_blocks})")
-        block = self.blocks[block_index]
-        if block.bad:
+        if self.bad[block_index]:
             raise RuntimeError(f"erase of retired bad block {block_index}")
         if self.sanitizer is not None:
             self.sanitizer.on_erase(block_index)
-        if block.valid_pages:
+        if self.valid_pages[block_index]:
             raise RuntimeError(
-                f"erase of block {block_index} with {block.valid_pages} valid pages"
+                f"erase of block {block_index} with "
+                f"{self.valid_pages[block_index]} valid pages"
             )
         if self.faults is not None and self.faults.fires("nand.erase"):
             # Erase failure retires the whole block; its pages keep their
             # (invalid/erased) states and never rejoin the rotation.
-            block.bad = True
+            self.bad[block_index] = True
             self._erase_fails.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_erase_fail(block_index)
             return FlashOp(self.latency.flash_erase_block_ns, None, failed=True)
         first = block_index * self.pages_per_block
-        for offset in range(self.pages_per_block):
-            block.states[offset] = FlashPageState.ERASED
-            if self.track_data:
-                self._data.pop(first + offset, None)
-        block.reset_erased()
-        block.erase_count += 1
+        end = first + self.pages_per_block
+        self.page_state[first:end] = bytes(self.pages_per_block)
+        if self.track_data:
+            for ppn in range(first, end):
+                self._data.pop(ppn, None)
+        self.invalid_pages[block_index] = 0
+        self.erase_counts[block_index] += 1
         self._erases.add()
-        if self.wear_limit > 0 and block.erase_count >= self.wear_limit:
+        if self.wear_limit > 0 and self.erase_counts[block_index] >= self.wear_limit:
             # Wear-triggered retirement: the erase itself succeeded (the
             # block is clean), but its cells are end-of-life.
-            block.bad = True
+            self.bad[block_index] = True
             self._wear_retired.add()
         return FlashOp(self.latency.flash_erase_block_ns, None)
 
@@ -290,7 +213,7 @@ class FlashArray:
 
     @property
     def max_erase_count(self) -> int:
-        return max(block.erase_count for block in self.blocks)
+        return max(self.erase_counts)
 
     # ------------------------------------------------------------------ #
     # Image snapshot/restore (repro.faults.power)
@@ -303,9 +226,9 @@ class FlashArray:
         return {
             "num_blocks": self.num_blocks,
             "pages_per_block": self.pages_per_block,
-            "states": [list(block.states) for block in self.blocks],
-            "erase_counts": [block.erase_count for block in self.blocks],
-            "bad": [block.bad for block in self.blocks],
+            "page_state": bytes(self.page_state),
+            "erase_counts": list(self.erase_counts),
+            "bad": list(self.bad),
             "data": dict(self._data),
         }
 
@@ -321,19 +244,17 @@ class FlashArray:
                 f"{image['pages_per_block']} does not match array "
                 f"{self.num_blocks}x{self.pages_per_block}"
             )
-        for block, states, erases, bad in zip(
-            self.blocks, image["states"], image["erase_counts"], image["bad"]
-        ):
-            block.states = list(states)
-            block.recount()
-            block.erase_count = int(erases)
-            block.bad = bool(bad)
+        self.page_state = bytearray(image["page_state"])
+        per_block = self.pages_per_block
+        for block in range(self.num_blocks):
+            states = self.page_state[block * per_block : (block + 1) * per_block]
+            self.valid_pages[block] = states.count(PAGE_PROGRAMMED)
+            self.invalid_pages[block] = states.count(PAGE_INVALID)
+        self.erase_counts = list(image["erase_counts"])
+        self.bad = list(image["bad"])
         self._data = dict(image["data"])
         if self.sanitizer is not None:
-            codes: List[int] = []
-            for block in self.blocks:
-                codes.extend(_SHADOW_CODE[s] for s in block.states)
-            self.sanitizer.resync(codes)
+            self.sanitizer.resync(self.page_state)
 
 
 class FlashOp:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.stats import StatRegistry
-from repro.ssd.flash import FlashArray, FlashBlock, FlashOp, FlashPageState
+from repro.sim.stats import Counter, StatRegistry
+from repro.ssd.flash import PAGE_PROGRAMMED, FlashArray, FlashOp
 from repro.units import LPN, PPN, BlockIndex, TimeNs
 
 RelocateHook = Callable[[int, int, int], None]  # (lpn, old_ppn, new_ppn)
@@ -150,7 +150,7 @@ class PageFTL:
         existing = self.mapping.get(lpn)
         if existing is not None:
             return existing, 0
-        return self._program_new(lpn, None, gc_write=False)
+        return self._program_new(lpn, None)
 
     def read(self, lpn: LPN) -> Tuple[PPN, Optional[bytes], TimeNs]:
         """Read a logical page: returns (ppn, data, cost_ns)."""
@@ -185,30 +185,33 @@ class PageFTL:
     def write(self, lpn: LPN, data: Optional[bytes] = None) -> Tuple[PPN, TimeNs]:
         """Out-of-place write of a logical page: returns (new_ppn, cost_ns)."""
         self._check_lpn(lpn)
-        return self._program_new(lpn, data, gc_write=False)
+        return self._program_new(lpn, data)
 
-    def _program_new(
-        self, lpn: LPN, data: Optional[bytes], gc_write: bool
-    ) -> Tuple[PPN, TimeNs]:
+    def _program_new(self, lpn: LPN, data: Optional[bytes]) -> Tuple[PPN, TimeNs]:
+        """A host write: GC first if space is short, then program and book it."""
         cost = 0
         if self.gc_needed():
             cost += self.collect_garbage()
         new_ppn, program_cost = self._program_retrying(data)
         cost += program_cost
-        old_ppn = self.mapping.get(lpn)
+        self._book(lpn, self.mapping.get(lpn), new_ppn, self._host_writes)
+        return new_ppn, cost
+
+    def _book(
+        self, lpn: LPN, old_ppn: Optional[PPN], new_ppn: PPN, writes: Counter
+    ) -> None:
+        """Point ``lpn`` at its freshly programmed ``new_ppn``: invalidate
+        the old copy, update both maps, count the write on ``writes`` and
+        fire the relocate hooks when a live page moved."""
         if old_ppn is not None:
             self.flash.invalidate(old_ppn)
             del self.reverse[old_ppn]
         self.mapping[lpn] = new_ppn
         self.reverse[new_ppn] = lpn
-        if gc_write:
-            self._gc_writes.add()
-        else:
-            self._host_writes.add()
+        writes.add()
         if old_ppn is not None:
             for hook in self._relocate_hooks:
                 hook(lpn, old_ppn, new_ppn)
-        return new_ppn, cost
 
     def _program_retrying(self, data: Optional[bytes]) -> Tuple[PPN, TimeNs]:
         """Program ``data`` on the write frontier, opening a free block when
@@ -249,57 +252,78 @@ class PageFTL:
         self._trims.add()
 
     # ------------------------------------------------------------------ #
-    # Garbage collection (relocation part; the read-modify-write policy
-    # that folds SSD-Cache dirty pages lives in repro.ssd.gc)
+    # Garbage collection and static wear leveling (relocation part; the
+    # read-modify-write policy that folds SSD-Cache dirty pages lives in
+    # repro.ssd.gc and reaches both through ``page_source``)
     # ------------------------------------------------------------------ #
+
+    def _closed_blocks(self) -> List[BlockIndex]:
+        """Blocks GC and wear leveling may reclaim: not retired, not on the
+        free list and not the open write frontier; in index order."""
+        bad = self.flash.bad
+        free = set(self._free_blocks)
+        return [
+            block
+            for block in range(self.flash.num_blocks)
+            if not bad[block] and block != self._frontier_block and block not in free
+        ]
 
     def select_victim(self) -> Optional[BlockIndex]:
         """Greedy policy: the fully-written block with the most invalid
-        pages; ties go to the least-worn block (wear-aware tie-break)."""
+        pages; ties go to the least-worn block (wear-aware tie-break), then
+        to the lowest index."""
+        flash = self.flash
         best_block: Optional[BlockIndex] = None
         best_key: Optional[Tuple[int, int]] = None
-        for block in self.flash.blocks:
-            if block.bad:
-                continue
-            if block.index == self._frontier_block:
-                continue
-            if block.index in self._free_blocks:
-                continue
-            if block.erased_pages:  # not fully written yet
-                continue
-            key = (block.invalid_pages, -block.erase_count)
+        for block in self._closed_blocks():
+            invalid = flash.invalid_pages[block]
+            if flash.valid_pages[block] + invalid < flash.pages_per_block:
+                continue  # not fully written yet
+            key = (invalid, -flash.erase_counts[block])
             if best_key is None or key > best_key:
                 best_key = key
-                best_block = block.index
+                best_block = block
         return best_block
 
     def collect_garbage(self) -> TimeNs:
-        """Reclaim one victim block; returns the time spent in ns.
-
-        Valid pages are relocated to the frontier (firing relocate hooks so
-        the device can maintain its remap table), then the block is erased
-        and returned to the free pool.
-        """
+        """Reclaim one victim block (then level wear if it is due); returns
+        the time spent in ns."""
         victim = self.select_victim()
         if victim is None:
             raise OutOfSpaceError("GC found no victim block to reclaim")
-        if self.flash.blocks[victim].invalid_pages == 0:
+        if self.flash.invalid_pages[victim] == 0:
             raise OutOfSpaceError(
                 "GC cannot make progress: best victim has no invalid pages "
                 "(logical capacity exhausted)"
             )
         self._gc_runs.add()
+        cost = self._relocate_block(victim)
+        cost += self.maybe_level_wear()
+        return cost
+
+    def _relocate_block(self, block: BlockIndex) -> TimeNs:
+        """Move ``block``'s programmed pages to the frontier in ppn order,
+        then erase it and return it to the free pool; returns ns spent.
+
+        The one relocation loop, shared by GC and static wear leveling.
+        Each page is read (with ECC retry) and replaced by ``page_source``'s
+        newer copy when there is one, so wear leveling folds dirty
+        SSD-Cache pages exactly as GC does.  Every move fires the relocate
+        hooks, so the device can maintain its remap table.  A failed erase
+        (or wear retirement during it) leaves the block bad: it never
+        rejoins the free pool, shrinking spare capacity.  With a flash
+        sanitizer attached, the page accounting is checked afterwards.
+        """
+        flash = self.flash
+        first = block * flash.pages_per_block
         cost = 0
-        block = self.flash.blocks[victim]
-        first_ppn = victim * self.flash.pages_per_block
-        for offset in range(self.flash.pages_per_block):
-            if block.states[offset] is not FlashPageState.PROGRAMMED:
+        for old_ppn in range(first, first + flash.pages_per_block):
+            if flash.page_state[old_ppn] != PAGE_PROGRAMMED:
                 continue
-            old_ppn = first_ppn + offset
             lpn = self.reverse.get(old_ppn)
             if lpn is None:
                 raise RuntimeError(f"valid page ppn={old_ppn} has no reverse mapping")
-            op = self.flash.read(old_ppn)
+            op = flash.read(old_ppn)
             if op.failed:
                 op = self._retry_ecc(old_ppn, op)
             cost += op.latency_ns
@@ -310,25 +334,18 @@ class PageFTL:
                     data = fresher
             new_ppn, program_cost = self._program_retrying(data)
             cost += program_cost
-            self.flash.invalidate(old_ppn)
-            del self.reverse[old_ppn]
-            self.mapping[lpn] = new_ppn
-            self.reverse[new_ppn] = lpn
-            self._gc_writes.add()
-            for hook in self._relocate_hooks:
-                hook(lpn, old_ppn, new_ppn)
-        erase = self.flash.erase(victim)
+            self._book(lpn, old_ppn, new_ppn, self._gc_writes)
+        erase = flash.erase(block)
         cost += erase.latency_ns
-        if not erase.failed and not block.bad:
-            # A failed erase (or wear retirement during it) leaves the block
-            # bad: it never rejoins the free pool, shrinking spare capacity.
-            self._free_blocks.insert(0, victim)
-        cost += self.maybe_level_wear()
+        if not erase.failed and not flash.bad[block]:
+            self._free_blocks.insert(0, block)
+        if flash.sanitizer is not None:
+            # Relocation must neither leak valid pages (moved but not
+            # invalidated) nor leave dangling mappings.
+            flash.sanitizer.check_accounting(
+                len(self.mapping), context="GC relocation"
+            )
         return cost
-
-    # ------------------------------------------------------------------ #
-    # Static wear leveling
-    # ------------------------------------------------------------------ #
 
     def wear_stats(self) -> dict:
         """Erase-count spread across blocks: min/max/mean and imbalance.
@@ -336,7 +353,9 @@ class PageFTL:
         Retired (bad) blocks are excluded — their wear is frozen and must
         not pin the spread the leveler acts on."""
         counts = [
-            block.erase_count for block in self.flash.blocks if not block.bad
+            count
+            for count, bad in zip(self.flash.erase_counts, self.flash.bad)
+            if not bad
         ] or [0]
         mean = sum(counts) / len(counts)
         return {
@@ -352,52 +371,26 @@ class PageFTL:
         Static wear leveling: long-lived cold data pins its block at a low
         erase count while hot blocks churn.  Moving the cold data out puts
         the under-used cells back into rotation.  Returns time spent (ns).
+        The device builds its FTL with ``wear_level_threshold=0``, so only
+        a bare FTL (no ``page_source``) ever gets here.
         """
         if self.wear_level_threshold <= 0:
             return 0
         stats = self.wear_stats()
         if stats["spread"] < self.wear_level_threshold:
             return 0
-        coldest: Optional[FlashBlock] = None
-        for block in self.flash.blocks:
-            if block.bad:
-                continue
-            if block.index == self._frontier_block:
-                continue
-            if block.index in self._free_blocks:
-                continue
-            if block.erased_pages or block.invalid_pages:
+        flash = self.flash
+        erase_counts = flash.erase_counts
+        coldest: Optional[BlockIndex] = None
+        for block in self._closed_blocks():
+            if flash.valid_pages[block] < flash.pages_per_block:
                 continue  # only fully valid (cold) blocks qualify
-            if coldest is None or block.erase_count < coldest.erase_count:
+            if coldest is None or erase_counts[block] < erase_counts[coldest]:
                 coldest = block
-        if coldest is None or coldest.erase_count > stats["min"]:
+        if coldest is None or erase_counts[coldest] > stats["min"]:
             return 0
         self._wear_levelings.add()
-        cost = 0
-        first_ppn = coldest.index * self.flash.pages_per_block
-        for offset in range(self.flash.pages_per_block):
-            old_ppn = first_ppn + offset
-            lpn = self.reverse.get(old_ppn)
-            if lpn is None:
-                continue
-            op = self.flash.read(old_ppn)
-            if op.failed:
-                op = self._retry_ecc(old_ppn, op)
-            cost += op.latency_ns
-            new_ppn, program_cost = self._program_retrying(op.data)
-            cost += program_cost
-            self.flash.invalidate(old_ppn)
-            del self.reverse[old_ppn]
-            self.mapping[lpn] = new_ppn
-            self.reverse[new_ppn] = lpn
-            self._gc_writes.add()
-            for hook in self._relocate_hooks:
-                hook(lpn, old_ppn, new_ppn)
-        erase = self.flash.erase(coldest.index)
-        cost += erase.latency_ns
-        if not erase.failed and not coldest.bad:
-            self._free_blocks.insert(0, coldest.index)
-        return cost
+        return self._relocate_block(coldest)
 
     # ------------------------------------------------------------------ #
     # Image snapshot/restore (repro.faults.power)

@@ -10,9 +10,11 @@ instead the SSD's garbage collector collects them periodically (§3.2, §4):
   moved pages' PTE/TLB entries are updated lazily through the device's
   remap table.
 
-The relocation mechanics live in :class:`repro.ssd.ftl.PageFTL`; this class
-adds the cache-folding policy and a periodic ``flush_dirty`` destage used
-when the cache pressure (dirty ratio) grows.
+The relocation mechanics live in :class:`repro.ssd.ftl.PageFTL`, whose one
+relocation routine serves GC and static wear leveling alike; this class
+adds the cache-folding policy (installed as the FTL's ``page_source``, so
+both fold) and a periodic ``flush_dirty`` destage used when the cache
+pressure (dirty ratio) grows.
 """
 
 from __future__ import annotations
@@ -111,12 +113,6 @@ class GarbageCollector:
         """Run one foreground-independent GC pass; returns ns spent."""
         cost = self.ftl.collect_garbage()
         self._background_ns.add(cost)
-        if self.flash.sanitizer is not None:
-            # A GC cycle must neither leak valid pages (relocated but not
-            # invalidated) nor leave dangling mappings.
-            self.flash.sanitizer.check_accounting(
-                len(self.ftl.mapping), context="GC collect"
-            )
         return cost
 
     @property
@@ -127,4 +123,4 @@ class GarbageCollector:
     def retired_blocks(self) -> int:
         """Blocks retired as bad — erase failures plus wear-limit hits
         (repro.faults).  Spare capacity GC can no longer use."""
-        return sum(1 for block in self.flash.blocks if block.bad)
+        return sum(self.flash.bad)

@@ -50,11 +50,6 @@ class TestReport:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_table_extend(self):
-        table = Table("t", ["a"])
-        table.extend([[1], [2]])
-        assert len(table.rows) == 2
-
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
             Table("t", [])

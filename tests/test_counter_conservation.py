@@ -73,8 +73,8 @@ INVARIANTS = [
 
 #: Stats that stay zero in full-system runs, and why.
 DEAD_LEGS = {
-    "plb.hits": "PLB.lookup has no caller: FlatFlash finds in-flight promotions "
-    "in its own _in_flight map",
+    "plb.hits": "PLB.lookup has no caller: FlatFlash probes the PLB's table "
+    "for in-flight promotions with the uncounted PLB.peek",
     "ssd_cache.dirty_evictions": "the eviction hook writes a dirty victim back, "
     "clearing its dirty bit, before SSDCache.insert counts it",
 }

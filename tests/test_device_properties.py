@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.ssd.device import ByteAddressableSSD
+from repro.ssd.flash import PAGE_PROGRAMMED
 
 LPNS = 12
 PAGE = 4_096
@@ -115,7 +116,7 @@ def test_flash_invariants_after_random_workload(seed):
     assert len(ftl.mapping) == len(ftl.reverse)
     for lpn, ppn in ftl.mapping.items():
         assert ftl.reverse[ppn] == lpn
-        assert device.flash.state_of(ppn).value == "programmed"
+        assert device.flash.page_state[ppn] == PAGE_PROGRAMMED
     # No block both free and holding valid pages.
     for block_index in ftl._free_blocks:
-        assert device.flash.blocks[block_index].valid_pages == 0
+        assert device.flash.valid_pages[block_index] == 0

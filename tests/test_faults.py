@@ -5,7 +5,7 @@ import pytest
 from repro.config import LatencyConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.faults.plan import FAULT_SITES, FaultConfig, FaultInjector
-from repro.ssd.flash import FlashArray, FlashPageState
+from repro.ssd.flash import PAGE_INVALID, PAGE_PROGRAMMED, FlashArray
 
 
 def make_flash(faults=None, blocks=4, pages=8, page_size=256):
@@ -118,7 +118,7 @@ def test_forced_program_fail_burns_page():
     flash = make_flash(injector(forced={"nand.program": (0,)}))
     op = flash.program(0, b"\xaa" * 256)
     assert op.failed
-    assert flash.state_of(0) is FlashPageState.INVALID
+    assert flash.page_state[0] == PAGE_INVALID
     # The page is consumed: a fresh program must use another page.
     ok = flash.program(1, b"\xbb" * 256)
     assert not ok.failed
@@ -129,7 +129,7 @@ def test_forced_erase_fail_retires_block():
     flash = make_flash(injector(forced={"nand.erase": (0,)}))
     op = flash.erase(0)
     assert op.failed
-    assert flash.blocks[0].bad
+    assert flash.bad[0]
     with pytest.raises(RuntimeError):
         flash.erase(0)  # bad blocks must never be erased again
 
@@ -137,9 +137,9 @@ def test_forced_erase_fail_retires_block():
 def test_wear_limit_retires_block_after_successful_erase():
     flash = make_flash(injector(nand_wear_limit=2))
     flash.erase(0)
-    assert not flash.blocks[0].bad
+    assert not flash.bad[0]
     flash.erase(0)
-    assert flash.blocks[0].bad
+    assert flash.bad[0]
     assert flash.stats.counters()["flash.wear_retired_blocks"] == 1
 
 
@@ -153,8 +153,8 @@ def test_snapshot_restore_roundtrip():
     other.restore_state(image)
     assert other.read(0).data == b"\x11" * 256
     assert other.read(1).data == b"\x22" * 256
-    assert other.blocks[2].bad
-    assert other.state_of(0) is FlashPageState.PROGRAMMED
+    assert other.bad[2]
+    assert other.page_state[0] == PAGE_PROGRAMMED
 
 
 # --------------------------------------------------------------------- #

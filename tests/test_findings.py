@@ -204,9 +204,18 @@ class TestAnalyzeEdgeCases:
     """The front end's exit codes for degenerate inputs:
 
     * an empty target directory is a *clean pass* (0), not an error;
-    * an unreadable input is a CRASH (exit 2) reported on stderr — never
-      a silent "clean", a finding (1) or a traceback.
+    * an unreadable or missing input is a CRASH (exit 2) reported on
+      stderr — never a silent "clean", a finding (1) or a traceback.
     """
+
+    @AUDIT_MODES
+    def test_missing_path_exits_2(self, audit, tmp_path):
+        missing = tmp_path / "no" / "such" / "dir"
+        result = _run_analyze([*audit, str(missing)], tmp_path)
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert str(missing) in result.stderr
+        assert "clean" not in result.stdout
+        assert "Traceback" not in result.stderr
 
     @AUDIT_MODES
     def test_empty_directory_is_clean(self, audit, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import LatencyConfig
-from repro.ssd.flash import FlashArray
+from repro.ssd.flash import PAGE_INVALID, PAGE_PROGRAMMED, FlashArray
 from repro.ssd.ftl import OutOfSpaceError, PageFTL
 
 
@@ -46,7 +46,7 @@ def test_write_invalidates_old_page():
     _cls, flash, ftl = make_ftl()
     first, _ = ftl.write(0, b"\x01" * 64)
     ftl.write(0, b"\x02" * 64)
-    assert flash.state_of(first).value == "invalid"
+    assert flash.page_state[first] == PAGE_INVALID
 
 
 def test_read_returns_latest_data():
@@ -196,4 +196,4 @@ def test_mapping_and_reverse_stay_consistent(lpns):
     assert len(ftl.mapping) == len(ftl.reverse)
     for lpn, ppn in ftl.mapping.items():
         assert ftl.reverse[ppn] == lpn
-        assert flash.state_of(ppn).value == "programmed"
+        assert flash.page_state[ppn] == PAGE_PROGRAMMED

@@ -4,7 +4,7 @@ import pytest
 
 from repro import DRAMOnly, FlatFlash, TraditionalStack, UnifiedMMap, small_config
 from repro.config import LatencyConfig
-from repro.ssd.flash import FlashArray
+from repro.ssd.flash import PAGE_INVALID, FlashArray
 from repro.ssd.ftl import PageFTL
 
 
@@ -18,7 +18,7 @@ class TestFTLTrim:
         ppn, _ = ftl.write(3, b"\xaa" * 64)
         ftl.trim(3)
         assert not ftl.is_mapped(3)
-        assert flash.state_of(ppn).value == "invalid"
+        assert flash.page_state[ppn] == PAGE_INVALID
 
     def test_trim_unmapped_is_noop(self):
         _flash, ftl = self.make_ftl()

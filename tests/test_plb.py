@@ -72,7 +72,7 @@ def test_all_copied():
     entry = start_entry(plb, lines=3)
     for line in range(3):
         plb.inbound_line(entry, line)
-    assert entry.all_copied
+    assert all(entry.copied)
 
 
 def test_retire_frees_entry():

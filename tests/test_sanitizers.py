@@ -37,7 +37,8 @@ from repro.sim.sanitizers import (
     SanitizerConfig,
     SanitizerError,
 )
-from repro.ssd.flash import FlashArray, FlashPageState
+from repro.ssd.flash import PAGE_ERASED, FlashArray
+from repro.ssd.ftl import PageFTL
 
 
 # --------------------------------------------------------------------- #
@@ -188,7 +189,7 @@ def test_flash_detects_corrupted_page_state():
     flash.program(0, bytes(64))
     # Corrupt the primary state: the page looks erased to the array, but
     # the sanitizer's shadow still knows it was programmed.
-    flash.blocks[0].states[0] = FlashPageState.ERASED
+    flash.page_state[0] = PAGE_ERASED
     with pytest.raises(FlashSanitizerError, match="ppn=0.*programmed"):
         flash.program(0, bytes(64))
 
@@ -227,6 +228,18 @@ def test_flash_accounting_leak_reports_both_counts():
     ):
         sanitizer.check_accounting(1, context="GC collect")
     sanitizer.check_accounting(2)  # balanced: no raise
+
+
+def test_ftl_gc_checks_page_accounting():
+    # The GC that every FTL write path triggers checks the accounting: a
+    # leaked page (programmed but never mapped) fails the first relocation.
+    flash = FlashArray(8, 4, 64, LatencyConfig(), sanitizer=FlashSanitizer())
+    ftl = PageFTL(flash, overprovision=0.25)
+    flash.sanitizer._valid_pages += 1
+    with pytest.raises(FlashSanitizerError, match="valid-page leak after GC relocation"):
+        for write in range(64):
+            ftl.write(write % 8, bytes(64))
+    assert ftl.stats.counters()["ftl.gc_runs"] == 1
 
 
 # --------------------------------------------------------------------- #

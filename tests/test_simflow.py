@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from repro.analysis.findings import iter_python_files
-from repro.analysis.simflow import RULES, analyze_source
+from repro.analysis.simflow import analyze_source
 
 
 def codes(violations):
@@ -431,19 +431,6 @@ def test_files_outside_sim_scope_are_skipped():
         path="repro/workloads/fake.py",
     )
     assert violations == []
-
-
-def test_rule_catalogue_is_complete():
-    assert [rule.code for rule in RULES] == [
-        "SF001",
-        "SF002",
-        "SF003",
-        "SF004",
-        "SF005",
-    ]
-    for rule in RULES:
-        assert rule.title
-        assert rule.explanation
 
 
 # --------------------------------------------------------------------- #

@@ -87,6 +87,6 @@ def test_victim_tie_break_prefers_less_worn_block():
     ftl.write(3, None)  # block 1 full
     for lpn in range(4):
         ftl.write(lpn, None)  # invalidate both blocks
-    flash.blocks[0].erase_count = 5  # pretend block 0 is worn
+    flash.erase_counts[0] = 5  # pretend block 0 is worn
     victim = ftl.select_victim()
     assert victim == 1
