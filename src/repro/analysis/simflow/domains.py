@@ -283,10 +283,10 @@ REGISTRY: Tuple[Translation, ...] = (
     Translation("insert", ("cache",), (LPN, None), None, "SSD-cache insert"),
     Translation("invalidate", ("cache",), (LPN,), None, "SSD-cache invalidate"),
     # ssd: NAND array (PPN/BLOCK consumers)
-    Translation("read", ("flash",), (PPN,), None, "NAND page read"),
-    Translation("program", ("flash",), (PPN, None), None, "NAND page program"),
+    Translation("read", ("flash",), (PPN,), (None, TIME_NS, None), "NAND page read"),
+    Translation("program", ("flash",), (PPN, None), (TIME_NS, None), "NAND page program"),
     Translation("invalidate", ("flash",), (PPN,), None, "NAND page invalidate"),
-    Translation("erase", ("flash",), (BLOCK,), None, "NAND block erase"),
+    Translation("erase", ("flash",), (BLOCK,), (TIME_NS, None), "NAND block erase"),
     # device boundary: the BAR-window page pun (HOST_PAGE ↔ LPN)
     Translation(
         "resolve_lpn", None, (HOST_PAGE,), LPN, "BAR page → logical page", pun=True
@@ -303,8 +303,9 @@ REGISTRY: Tuple[Translation, ...] = (
         None,
         "promotion DMA read",
     ),
-    Translation("mmio_read", ("ssd", "device"), (HOST_PAGE,), None, "MMIO read"),
-    Translation("mmio_write", ("ssd", "device"), (HOST_PAGE,), None, "MMIO write"),
+    Translation("mmio_read", ("ssd", "device"), (HOST_PAGE,), (None, TIME_NS), "MMIO read"),
+    Translation("mmio_write", ("ssd", "device"), (HOST_PAGE,), TIME_NS, "MMIO write"),
+    Translation("mmio_atomic", ("ssd", "device"), (HOST_PAGE,), TIME_NS, "PCIe atomic"),
     Translation("drain_remaps", ("ssd", "device"), (), (None, TIME_NS), "remap drain"),
     # core: region bookkeeping (VPN → LPN is linear tiling, but must be cast)
     Translation("lpn_of_vpn", None, (VPN,), LPN, "region vpn→lpn map"),

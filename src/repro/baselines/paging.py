@@ -40,8 +40,13 @@ class PagingMemorySystem(MemorySystem):
         if config is None:
             config = FlatFlashConfig()
         super().__init__(config)
+        # Faults read pages by lpn and evictions re-derive each ppn from the
+        # FTL, so nothing here drains GC remaps: the device keeps no table.
         self.ssd = ByteAddressableSSD(
-            config, host_merged_ftl=self.host_merged_ftl, stats=self.stats
+            config,
+            host_merged_ftl=self.host_merged_ftl,
+            stats=self.stats,
+            remap_table=False,
         )
         effective_frames = max(
             1, int(config.geometry.dram_pages * (1.0 - self.metadata_overhead))
@@ -57,10 +62,8 @@ class PagingMemorySystem(MemorySystem):
         self._pages_out = self.stats.counter("mem.pages_out")
         self._faults = self.stats.counter("mem.page_faults")
         self._evictions = self.stats.counter("mem.evictions")
-
-    @property
-    def fault_software_ns(self) -> int:
-        return getattr(self.config.latency, self.fault_software_ns_attr)
+        #: Software cost of one page fault, ns (read from the config once).
+        self.fault_software_ns: int = getattr(config.latency, self.fault_software_ns_attr)
 
     # ------------------------------------------------------------------ #
     # Mapping
@@ -90,6 +93,9 @@ class PagingMemorySystem(MemorySystem):
     def _access_page(
         self, vpn: int, offset: int, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
+        # The replay engine runs only the fault of a single-page row
+        # (``_handle_fault``) and serves the rest inline, so this runs on
+        # the scalar path alone.
         pte = self.page_table.lookup(vpn)
         if pte is None:
             raise KeyError(f"vpn {vpn} is not mapped")
@@ -126,8 +132,10 @@ class PagingMemorySystem(MemorySystem):
         pte.point_to_dram(frame.index)
         cost += self.config.latency.pte_tlb_update_ns
         self._pages_in.add()
-        self._emit("fault", vpn=vpn, frame=frame.index)
-        cost += self._readahead(vpn)
+        if self._events is not None:
+            self._emit("fault", vpn=vpn, frame=frame.index)
+        if self.config.readahead_pages:
+            cost += self._readahead(vpn)
         return cost
 
     def _readahead(self, faulted_vpn: int) -> int:
@@ -153,7 +161,8 @@ class PagingMemorySystem(MemorySystem):
             frame.dirty = False
             pte.point_to_dram(frame.index)
             self._pages_in.add()
-            self._emit("readahead", vpn=vpn, frame=frame.index)
+            if self._events is not None:
+                self._emit("readahead", vpn=vpn, frame=frame.index)
         if cost:
             cost += self.config.latency.pte_tlb_update_ns  # one batched update
         return cost
@@ -175,7 +184,8 @@ class PagingMemorySystem(MemorySystem):
         cost += self.tlb.invalidate(vpn)
         self.dram.free(frame)
         self._evictions.add()
-        self._emit("eviction", vpn=vpn, dirty=int(was_dirty))
+        if self._events is not None:
+            self._emit("eviction", vpn=vpn, dirty=int(was_dirty))
         return cost
 
     @property

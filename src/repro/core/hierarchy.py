@@ -99,7 +99,9 @@ class FlatFlash(MemorySystem):
 
         # In-flight promotions live in the PLB (``bridge.plb``) alone: an
         # entry's ``mem_tag`` frame is pinned (not evictable) and belongs to
-        # ``frame.vpn`` until the entry retires.
+        # ``frame.vpn`` until the entry retires.  Each access tests this
+        # map before it settles promotions.
+        self._in_flight = self.bridge.plb._by_ssd_tag
         # Reverse map for lazy GC remap propagation.
         self._ssd_page_to_vpn: Dict[HostPage, VPN] = {}
 
@@ -148,8 +150,11 @@ class FlatFlash(MemorySystem):
     def _access_page(
         self, vpn: VPN, offset: OffsetBytes, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
-        self._settle_promotions()
-        self._drain_remaps()
+        # Order-dependent maintenance, each run only when it has work.
+        if self._in_flight:
+            self._settle_promotions()
+        if self.ssd.remaps:
+            self._drain_remaps()
         if self.config.promotion.sequential_prefetch:
             self._detect_stream(vpn)
         pte = self.page_table.lookup(vpn)
@@ -209,15 +214,17 @@ class FlatFlash(MemorySystem):
                     return served
         if self.bridge.mmio_retry is not None:
             return self._guarded_mmio(pte, ssd_page, offset, size, is_write, data)
+        ssd = self.ssd
+        payload = None
         if is_write:
-            mmio = self.ssd.mmio_write(
-                ssd_page, offset, size, data=data, persist=pte.persist
-            )
+            latency = ssd.mmio_write(ssd_page, offset, size, data=data, persist=pte.persist)
         else:
-            mmio = self.ssd.mmio_read(ssd_page, offset, size, persist=pte.persist)
-        self._background_ns.add(self.ssd.take_background_ns())
-        stall_ns = self._start_pending_promotions()
-        return AccessResult(mmio.latency_ns + stall_ns, "ssd", data=mmio.data)
+            payload, latency = ssd.mmio_read(ssd_page, offset, size, persist=pte.persist)
+        if ssd.pending_writeback_ns:
+            self._background_ns.add(ssd.take_background_ns())
+        if self.promotion.candidates:
+            latency += self._start_pending_promotions()
+        return AccessResult(latency, "ssd", data=payload)
 
     def _charge_victim_writeback(self) -> None:
         """Charge the posted write-back of a dirty CPU-cache victim line.
@@ -254,21 +261,24 @@ class FlatFlash(MemorySystem):
         lpn = self.ssd.resolve_lpn(ssd_page)
         if retry.is_degraded(lpn):
             return self._degraded_access(pte, lpn, offset, size, is_write, data, 0)
+        ssd = self.ssd
         extra_ns = 0
+        payload = None
         for attempt in range(retry.max_retries + 1):
             try:
                 if is_write:
-                    mmio = self.ssd.mmio_write(
+                    latency = ssd.mmio_write(
                         ssd_page, offset, size, data=data, persist=pte.persist
                     )
                 else:
-                    mmio = self.ssd.mmio_read(
+                    payload, latency = ssd.mmio_read(
                         ssd_page, offset, size, persist=pte.persist
                     )
             except PCIeFaultError as fault:
                 extra_ns += fault.latency_ns
                 if retry.note_failure(lpn):
-                    self._emit("mmio_degraded", lpn=lpn)
+                    if self._events is not None:
+                        self._emit("mmio_degraded", lpn=lpn)
                     return self._degraded_access(
                         pte, lpn, offset, size, is_write, data, extra_ns
                     )
@@ -276,11 +286,12 @@ class FlatFlash(MemorySystem):
                     extra_ns += retry.backoff_ns(attempt)
                 continue
             retry.note_success(lpn)
-            self._background_ns.add(self.ssd.take_background_ns())
-            stall_ns = self._start_pending_promotions()
-            return AccessResult(
-                mmio.latency_ns + extra_ns + stall_ns, "ssd", data=mmio.data
-            )
+            if ssd.pending_writeback_ns:
+                self._background_ns.add(ssd.take_background_ns())
+            latency += extra_ns
+            if self.promotion.candidates:
+                latency += self._start_pending_promotions()
+            return AccessResult(latency, "ssd", data=payload)
         retry.note_giveup()
         return self._degraded_access(pte, lpn, offset, size, is_write, data, extra_ns)
 
@@ -523,7 +534,8 @@ class FlatFlash(MemorySystem):
         entry = plb.start(ssd_page, frame.index, num_lines, complete_at, snapshot)
         assert entry is not None  # has_free_entry checked above
         self._promotions.add()
-        self._emit("promotion_start", vpn=vpn, ssd_page=ssd_page, frame=frame.index)
+        if self._events is not None:
+            self._emit("promotion_start", vpn=vpn, ssd_page=ssd_page, frame=frame.index)
         return 0
 
     def _detect_stream(self, vpn: VPN) -> None:
@@ -582,12 +594,10 @@ class FlatFlash(MemorySystem):
         return self.config.latency.pte_tlb_update_ns + self.tlb.invalidate(frame.vpn)
 
     def _settle_promotions(self) -> None:
-        """Retire in-flight promotions whose copy has completed."""
-        plb = self.bridge.plb
-        if not plb.in_flight:
-            return
+        """Retire in-flight promotions whose copy has completed.  Callers
+        skip the call while no promotion is in flight."""
         now = self.clock.now
-        for entry in plb.entries():
+        for entry in self.bridge.plb.entries():
             if entry.complete_at_ns <= now:
                 self._complete_promotion(entry)
 
@@ -597,7 +607,8 @@ class FlatFlash(MemorySystem):
         frame = self.dram.frames[entry.mem_tag]
         self._background_ns.add(self._point_pte_at(frame, entry.ssd_tag))
         self._pages_in.add()
-        self._emit("promotion_complete", vpn=frame.vpn, frame=frame.index)
+        if self._events is not None:
+            self._emit("promotion_complete", vpn=frame.vpn, frame=frame.index)
 
     # ------------------------------------------------------------------ #
     # Eviction (LRU page back to the SSD)
@@ -640,7 +651,8 @@ class FlatFlash(MemorySystem):
         self._background_ns.add(self.config.latency.pte_tlb_update_ns)
         self.dram.free(frame)
         self._evictions.add()
-        self._emit("eviction", vpn=vpn, dirty=int(was_dirty), ssd_page=new_ssd_page)
+        if self._events is not None:
+            self._emit("eviction", vpn=vpn, dirty=int(was_dirty), ssd_page=new_ssd_page)
         if was_dirty:
             self._pages_out.add()
 
@@ -649,9 +661,9 @@ class FlatFlash(MemorySystem):
     # ------------------------------------------------------------------ #
 
     def _drain_remaps(self) -> None:
+        """Repoint PTEs after GC relocations.  Callers skip the call while
+        the device's remap table is empty."""
         updates, cost = self.ssd.drain_remaps()
-        if not updates:
-            return
         moved_vpns: List[int] = []
         for old_page, new_page in updates.items():
             vpn = self._ssd_page_to_vpn.pop(old_page, None)
@@ -664,7 +676,8 @@ class FlatFlash(MemorySystem):
                 moved_vpns.append(vpn)
         self._background_ns.add(cost)
         self._background_ns.add(self.tlb.batch_invalidate(moved_vpns))
-        self._emit("remap_drain", moved=len(moved_vpns))
+        if self._events is not None:
+            self._emit("remap_drain", moved=len(moved_vpns))
 
     # ------------------------------------------------------------------ #
     # Maintenance / introspection
@@ -674,7 +687,8 @@ class FlatFlash(MemorySystem):
         """Finish all in-flight promotions (end-of-experiment settling)."""
         for entry in self.bridge.plb.entries():
             self._complete_promotion(entry)
-        self._drain_remaps()
+        if self.ssd.remaps:
+            self._drain_remaps()
 
     @property
     def promotions(self) -> int:

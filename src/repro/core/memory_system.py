@@ -285,8 +285,9 @@ class MemorySystem(abc.ABC):
         self._events = None
 
     def _emit(self, kind: str, **fields: int) -> None:
-        if self._events is not None:
-            self._events.append((self.clock.now, kind, fields))
+        """Record one event.  Callers test ``self._events is not None``
+        first, so a disabled log costs no call and no field dict."""
+        self._events.append((self.clock.now, kind, fields))  # type: ignore[union-attr]
 
     def events(self, kind: Optional[str] = None) -> List[Tuple[int, str, Dict[str, int]]]:
         """Recorded events, optionally filtered by kind."""

@@ -115,14 +115,14 @@ class PersistentRegion:
         attempts = 1 if retry is None else retry.max_retries + 1
         for attempt in range(attempts):
             try:
-                result = system.ssd.mmio_atomic(pte.ssd_page, page_offset, size)
+                cost = system.ssd.mmio_atomic(pte.ssd_page, page_offset, size)
             except PCIeFaultError as fault:
                 extra_ns += fault.latency_ns
                 assert retry is not None  # faults only fire with a policy
                 if attempt < retry.max_retries:
                     extra_ns += retry.backoff_ns(attempt)
                 continue
-            cost = result.latency_ns + extra_ns
+            cost += extra_ns
             system.clock.advance(cost)
             return cost
         # Retries exhausted: complete the update through the block path —

@@ -2,7 +2,7 @@
 
 Every memory access served by the SSD calls :meth:`PromotionManager.update`
 for the touched SSD-Cache entry; every SSD-Cache eviction calls
-:meth:`PromotionManager.adjust_cnt`.  The algorithm promotes a page when
+``PromotionManager.adjust_cnt``.  The algorithm promotes a page when
 its access counter reaches an *adaptive* threshold:
 
 * ``currRatio = AggPromotedCnt / AccessCnt`` measures page re-use;
@@ -19,8 +19,7 @@ against Algorithm 1 line by line.
 
 from __future__ import annotations
 
-from typing import Deque, List, Optional
-from collections import deque
+from typing import Dict, List, Optional
 
 from repro.config import PromotionConfig
 from repro.sim.stats import StatRegistry
@@ -88,11 +87,12 @@ class FixedPromotionPolicy:
 class PromotionManager:
     """The SSD's Promotion Manager: wires the policy to the device.
 
-    The device calls :meth:`update`/:meth:`adjust_cnt` (the
+    The device calls :meth:`update`/``adjust_cnt`` (the
     :class:`~repro.ssd.device.PromotionSink` protocol) from inside its MMIO
-    paths; promotion *candidates* are queued and drained by the hierarchy
-    after the access completes, mirroring the off-critical-path promotion
-    of §3.3.
+    paths; ``adjust_cnt`` is the policy's own method.  Promotion
+    *candidates* are queued in :attr:`candidates` and drained by the
+    hierarchy after the access completes, mirroring the off-critical-path
+    promotion of §3.3.
     """
 
     def __init__(
@@ -104,25 +104,21 @@ class PromotionManager:
         if policy is None:
             policy = AdaptivePromotionPolicy(config if config is not None else PromotionConfig())
         self.policy = policy
-        self._candidates: Deque[LPN] = deque()
-        self._queued: set = set()
+        self.adjust_cnt = policy.adjust_cnt
+        #: Queued promotion candidates (lpns, each once), oldest first.
+        self.candidates: Dict[LPN, None] = {}
         self.stats = stats if stats is not None else StatRegistry()
         self._promote_signals = self.stats.counter("promotion.signals")
 
     def update(self, entry: CacheEntry) -> None:
-        if self.policy.update(entry) and entry.lpn not in self._queued:
-            self._candidates.append(entry.lpn)
-            self._queued.add(entry.lpn)
+        if self.policy.update(entry) and entry.lpn not in self.candidates:
+            self.candidates[entry.lpn] = None
             self._promote_signals.add()
-
-    def adjust_cnt(self, entry: CacheEntry) -> None:
-        self.policy.adjust_cnt(entry)
 
     def take_candidates(self) -> List[LPN]:
         """Drain queued promotion candidates (lpns), oldest first."""
-        drained = list(self._candidates)
-        self._candidates.clear()
-        self._queued.clear()
+        drained = list(self.candidates)
+        self.candidates.clear()
         return drained
 
     @property

@@ -12,17 +12,28 @@ Python call tower for the common case.  The dispatch rule per row:
   stat updates, which are plain commutative sums, so deferred flushing
   is exact.  FlatFlash's per-access maintenance hooks
   (``_settle_promotions``, ``_drain_remaps``) depend on access order
-  and are invoked for real — but only when their cheap emptiness guards
-  (the PLB's entry table, ``ssd._remap``) say they would do work, which
-  is exactly when the scalar path does work too.
+  and are invoked for real — but only when their emptiness guards (the
+  PLB's in-flight map, ``ssd.remaps``) say they would do work; the
+  scalar ``FlatFlash._access_page`` tests the same two before calling.
 
-* **Delegated, thin** — a single-page access whose PTE is not DRAM
-  resident (SSD direct access, page fault, in-flight promotion) still
-  gets the inlined translation kernels (batched counters, inline clock
-  advance) but hands the page access itself to the unmodified scalar
-  ``system._access_page`` with the simulated clock synchronised across
-  the boundary, so its internal order — settle promotions, drain
-  remaps, then dispatch — is preserved exactly.
+* **Faulted, then fused** — a single-page access on a paging baseline
+  (TraditionalStack, UnifiedMMap) whose page is not in DRAM.  With the
+  simulated clock synchronised, the interpreter calls the unmodified
+  ``system._handle_fault(vpn, pte)``, which brings the page into a DRAM
+  frame, and then runs the row through the fused DRAM kernel with the
+  fault's stall added to its latency.  That is what the scalar
+  ``PagingMemorySystem._access_page`` does after its fault, so on a
+  replay that method runs only for page-crossing rows (and on the
+  per-row reference path).  The row counts as delegated: it ran scalar
+  hierarchy code.
+
+* **Delegated, thin** — any other single-page access whose PTE is not
+  DRAM resident (FlatFlash's SSD direct access and in-flight
+  promotions) still gets the inlined translation kernels (batched
+  counters, inline clock advance) but hands the page access itself to
+  the unmodified scalar ``system._access_page`` with the simulated
+  clock synchronised across the boundary, so its internal order —
+  settle promotions, drain remaps, then dispatch — is preserved exactly.
 
 * **Delegated, full** — page-crossing accesses (rare: trace rows are
   cache lines or words) go through the whole scalar ``system._access``
@@ -43,21 +54,22 @@ order:
 Everything else on the scalar access path depends on access order and is
 never inlined: ``MemorySystem._access`` and ``FlatFlash._plb_access``,
 ``_start_pending_promotions``, ``_settle_promotions``,
-``_complete_promotion``, ``_drain_remaps`` and ``_guarded_mmio``.  The
-dispatch rule above (delegate unless the PTE is a present DRAM mapping
-and the access stays inside one page) keeps the fused path clear of all
-seven.  ``tests/test_engine_equivalence.py`` replays traces both ways and
-compares every observable, including seeded mutants of the inlined
-kernels.
+``_complete_promotion``, ``_drain_remaps``, ``_guarded_mmio`` and the
+paging ``_handle_fault``.  The dispatch rule above (delegate unless the
+PTE is a present DRAM mapping and the access stays inside one page; on
+a paging baseline, fault the page in first) keeps the fused kernels
+clear of all eight.  ``tests/test_engine_equivalence.py`` replays traces
+both ways and compares every observable, including seeded mutants of the
+inlined kernels.
 
 The only scalar-visible state the interpreter keeps locally during a
 chunk is the clock (an int) and the commutative stat tallies; both are
 flushed in a ``finally`` so even a raising replay (unmapped address,
 injected fault) leaves the system exactly as the scalar loop would.
-Every clock sync — before a delegated access or a maintenance hook, and
-in the ``finally`` — hands the batched time to ``SimClock.advance``, so
-an attached clock sanitizer checks each batched advance (integral,
-non-negative, no tampering since the last sync).
+Every clock sync — before a delegated access, a fault or a maintenance
+hook, and in the ``finally`` — hands the batched time to
+``SimClock.advance``, so an attached clock sanitizer checks each batched
+advance (integral, non-negative, no tampering since the last sync).
 
 When :func:`repro.engine.guards.fused_blockers` names a reason (the race
 detector, an armed power-loss deadline, sequential prefetch, an
@@ -92,9 +104,10 @@ class ReplayResult:
 
     #: Per-row access latency in ns, same order as the trace.
     latencies: np.ndarray
-    #: Rows executed on the fused fast path.
+    #: Rows that ran no scalar hierarchy code (DRAM hits on the fused path).
     fused_ops: int = 0
-    #: Rows delegated to the scalar hierarchy.
+    #: Rows that ran scalar hierarchy code: delegated rows, faulted rows
+    #: and every row of a blocked replay.
     delegated_ops: int = 0
     #: Why fused mode was off for the whole replay ([] when it was on).
     blockers: List[str] = field(default_factory=list)
@@ -133,7 +146,9 @@ def _replay_scalar(system: Any, rows: np.ndarray, latencies: np.ndarray) -> None
 
 
 def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
-    """Fused interpreter; returns the number of fast-path rows."""
+    """Fused interpreter; returns the number of rows that ran no scalar
+    hierarchy code."""
+    from repro.baselines.paging import PagingMemorySystem
     from repro.core.hierarchy import FlatFlash
     from repro.host.page_table import Domain
 
@@ -168,10 +183,13 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
 
     is_flat = isinstance(system, FlatFlash)
     if is_flat:
-        in_flight = system.bridge.plb._by_ssd_tag
-        ssd_remap = system.ssd._remap
+        in_flight = system._in_flight
+        ssd_remap = system.ssd.remaps
         settle = system._settle_promotions
         drain = system._drain_remaps
+    # A paging row whose page is not in DRAM runs only the fault handler
+    # as scalar code (see the module docstring).
+    handle_fault = system._handle_fault if isinstance(system, PagingMemorySystem) else None
 
     # Commutative tallies, flushed once (see the ``finally`` below).
     loads_tally = 0
@@ -232,10 +250,12 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                 else:
                     loads_tally += 1
                 # --- inlined wrapper kernels: tlb_probe/pt_walk/tlb_fill ---
+                # stall_ns: what the row costs before its DRAM reference
+                # (the page walk; on a faulted row, the fault too).
                 if vpn in cached:
                     cached_move(vpn)
                     tlb_hits += 1
-                    walk_cost = 0
+                    stall_ns = 0
                     pte = entries_get(vpn)
                 else:
                     tlb_misses += 1
@@ -246,12 +266,12 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                     if len(cached) >= capacity:
                         cached_evict(last=False)
                     cached[vpn] = None
-                    walk_cost = walk_ns
+                    stall_ns = walk_ns
                 if pte is not None and pte.present and pte.domain is domain_dram:
-                    # --- fused DRAM fast path ---
+                    # --- fused: a DRAM hit ---
                     if is_flat:
                         # Order-dependent maintenance runs for real; the
-                        # emptiness guards mirror the scalar early-returns.
+                        # emptiness guards are the scalar _access_page's.
                         # (Settle/drain never demote a DRAM-resident PTE,
                         # so the dispatch above cannot be invalidated.)
                         if in_flight:
@@ -262,63 +282,71 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                             clk.advance(now - clk._now)
                             drain()
                             now = clk._now
-                    frame = frames[pte.frame_index]
-                    frame.referenced = True
-                    frame_index = frame.index
-                    if frame_index in lru:
-                        lru_move(frame_index)
-                    if is_write:
-                        frame.dirty = True
-                        frame_data = frame.data
-                        if frame_data is not None:
-                            offset = offset_list[i]
-                            # store with no payload writes zeros (scalar
-                            # _dram_access's data=None convention)
-                            frame_data[offset : offset + size] = bytes(size)
-                        latency = walk_cost + store_ns
-                    else:
-                        latency = walk_cost + load_ns
                     fused_count += 1
+                elif handle_fault is not None and pte is not None:
+                    # --- faulted, then fused: the unmodified fault handler
+                    # brings the page into DRAM, then the row takes the
+                    # DRAM kernel below with the fault's stall added ---
+                    clk.advance(now - clk._now)
+                    try:
+                        stall_ns += handle_fault(vpn, pte)
+                    finally:
+                        now = clk._now
+                else:
+                    # --- thin delegation: the order-dependent page access
+                    # runs unmodified, wrapper bookkeeping stays batched ---
+                    clk.advance(now - clk._now)
+                    try:
+                        result = page_access(vpn, offset_list[i], size, is_write, None)
+                    finally:
+                        now = clk._now
+                    latency = stall_ns + result.latency_ns
                     now += latency
                     lat_append(latency)
-                    dram_tally[latency] = dram_tally.get(latency, 0) + 1
-                    if by_source_dram is None:
-                        # Materialise mem.by_source.dram at the position
-                        # the scalar loop would, keeping registry order
-                        # stable.
-                        by_source_dram = registry_latency(
-                            "mem.by_source.dram", keep_samples=False
-                        )
-                        by_source_cache["dram"] = by_source_dram
+                    source = result.source
+                    if source == "dram":
+                        dram_tally[latency] = dram_tally.get(latency, 0) + 1
+                        if by_source_dram is None:
+                            by_source_dram = registry_latency(
+                                "mem.by_source.dram", keep_samples=False
+                            )
+                            by_source_cache["dram"] = by_source_dram
+                    else:
+                        tally = other_tallies.get(source)
+                        if tally is None:
+                            other_tallies[source] = tally = {}
+                            if source not in by_source_cache:
+                                by_source_cache[source] = registry_latency(
+                                    f"mem.by_source.{source}", keep_samples=False
+                                )
+                        tally[latency] = tally.get(latency, 0) + 1
                     continue
 
-                # --- thin delegation: the order-dependent page access
-                # runs unmodified, wrapper bookkeeping stays batched ---
-                clk.advance(now - clk._now)
-                try:
-                    result = page_access(vpn, offset_list[i], size, is_write, None)
-                finally:
-                    now = clk._now
-                latency = walk_cost + result.latency_ns
+                # --- the fused DRAM kernel: frame touch + dirty, payload ---
+                frame = frames[pte.frame_index]
+                frame.referenced = True
+                frame_index = frame.index
+                if frame_index in lru:
+                    lru_move(frame_index)
+                if is_write:
+                    frame.dirty = True
+                    frame_data = frame.data
+                    if frame_data is not None:
+                        offset = offset_list[i]
+                        # store with no payload writes zeros (scalar
+                        # _dram_access's data=None convention)
+                        frame_data[offset : offset + size] = bytes(size)
+                    latency = stall_ns + store_ns
+                else:
+                    latency = stall_ns + load_ns
                 now += latency
                 lat_append(latency)
-                source = result.source
-                if source == "dram":
-                    dram_tally[latency] = dram_tally.get(latency, 0) + 1
-                    if by_source_dram is None:
-                        by_source_dram = registry_latency(
-                            "mem.by_source.dram", keep_samples=False
-                        )
-                        by_source_cache["dram"] = by_source_dram
-                else:
-                    tally = other_tallies.get(source)
-                    if tally is None:
-                        other_tallies[source] = tally = {}
-                        if source not in by_source_cache:
-                            by_source_cache[source] = registry_latency(
-                                f"mem.by_source.{source}", keep_samples=False
-                            )
-                    tally[latency] = tally.get(latency, 0) + 1
+                dram_tally[latency] = dram_tally.get(latency, 0) + 1
+                if by_source_dram is None:
+                    # Materialise mem.by_source.dram at the position the
+                    # scalar loop would, keeping registry order stable.
+                    by_source_dram = registry_latency("mem.by_source.dram", keep_samples=False)
+                    by_source_cache["dram"] = by_source_dram
 
             latencies[start : start + len(lat_list)] = lat_list
     finally:

@@ -235,6 +235,7 @@ class PCIeLink:
     def dma_from_host_cost(self, size: int) -> TimeNs:
         """Cost of a DMA from host DRAM into the device (page write-back)."""
         self._check_link("pcie.dma_from_host")
+        self._cachelines(size)  # the size rule, before anything is counted
         self._dma_ops.add(1)
         self._bytes_to_device.add(size)
         chunk = 4_096

@@ -14,12 +14,16 @@ Two FTL placements are supported:
 
 * ``host_merged_ftl=True`` (FlatFlash / UnifiedMMap): host PTEs hold flash
   physical page numbers; GC relocation is absorbed by a *remap table* that
-  the host drains lazily in batches (§4).
+  the host drains lazily in batches (§4).  Only a host that drains it keeps
+  one: the paging baselines read pages by lpn and re-derive each ppn from
+  the FTL, so they build their device with ``remap_table=False``.
 * ``host_merged_ftl=False`` (TraditionalStack): the host addresses logical
   pages and every access pays a device-side FTL lookup.
 
 The device never advances a clock itself — every operation returns its cost
 in nanoseconds, and callers (the memory systems) charge it appropriately.
+Byte-interface results are plain values: ``mmio_read`` returns ``(data,
+cost)``, ``mmio_write`` and ``mmio_atomic`` return the cost.
 """
 
 from __future__ import annotations
@@ -51,23 +55,6 @@ class PromotionSink(Protocol):
         """Called when a page is evicted from the SSD-Cache."""
 
 
-class MMIOResult:
-    """Outcome of one MMIO access."""
-
-    __slots__ = ("latency_ns", "data", "cache_hit")
-
-    def __init__(self, latency_ns: int, data: Optional[bytes], cache_hit: bool) -> None:
-        self.latency_ns = latency_ns
-        self.data = data
-        self.cache_hit = cache_hit
-
-    def __repr__(self) -> str:
-        return (
-            f"MMIOResult(latency={self.latency_ns}ns, hit={self.cache_hit}, "
-            f"data={'yes' if self.data is not None else 'no'})"
-        )
-
-
 class ByteAddressableSSD:
     """A PCIe SSD exposing both byte (MMIO) and block (DMA) interfaces."""
 
@@ -79,6 +66,7 @@ class ByteAddressableSSD:
         cache_policy: str = "rrip",
         stats: Optional[StatRegistry] = None,
         device_id: Optional[int] = None,
+        remap_table: bool = True,
     ) -> None:
         config.validate()
         self.config = config
@@ -149,17 +137,21 @@ class ByteAddressableSSD:
         span_pages = self.flash.total_pages if host_merged_ftl else self.ftl.exported_pages
         self.bar = BarWindow(bar_base, span_pages * geometry.page_size)
 
-        # GC remap table: old ppn -> new ppn, drained lazily by the host.
-        # The reverse index (target ppn -> sources pointing at it) keeps
-        # chain collapsing O(chain length) instead of O(table size).
-        self._remap: Dict[int, int] = {}
+        # GC remap table: old ppn -> new ppn, drained lazily by the host
+        # (host-merged mode, and only when ``remap_table`` says the host
+        # drains it).  The reverse index (target ppn -> sources pointing at
+        # it) keeps chain collapsing O(chain length) instead of O(table
+        # size).
+        self.remaps: Dict[int, int] = {}
         self._remap_sources: Dict[int, List[int]] = {}
-        if host_merged_ftl:
+        if host_merged_ftl and remap_table:
             self.ftl.add_relocate_hook(self._on_relocate)
 
         self.promotion_manager: Optional[PromotionSink] = None
         self.cache.add_evict_hook(self._on_cache_evict)
-        self._pending_writeback_ns = 0
+        #: Dirty-victim write-back time not yet collected by the host
+        #: (see :meth:`take_background_ns`).
+        self.pending_writeback_ns = 0
 
         self._mmio_reads = self.stats.counter("ssd.mmio_reads")
         self._mmio_writes = self.stats.counter("ssd.mmio_writes")
@@ -200,7 +192,7 @@ class ByteAddressableSSD:
     def _on_relocate(self, lpn: int, old_ppn: int, new_ppn: int) -> None:
         # Collapse chains so lookups stay O(1): anything that pointed at
         # old_ppn now points at new_ppn directly.
-        remap = self._remap
+        remap = self.remaps
         index = self._remap_sources
         sources = index.pop(old_ppn, None)
         if sources:
@@ -219,7 +211,7 @@ class ByteAddressableSSD:
 
     def _rebuild_remap_index(self) -> None:
         index: Dict[int, List[int]] = {}
-        for source, target in self._remap.items():
+        for source, target in self.remaps.items():
             index.setdefault(target, []).append(source)
         self._remap_sources = index
 
@@ -229,7 +221,7 @@ class ByteAddressableSSD:
         if entry.dirty:
             # Dirty victim: destage through the FTL.  Charged to background
             # time (the paper's GC handles write-back off the access path).
-            self._pending_writeback_ns += self.gc.flush_entry(entry)
+            self.pending_writeback_ns += self.gc.flush_entry(entry)
 
     def resolve_lpn(self, host_page: HostPage) -> LPN:
         """Translate a host-visible device page number to its lpn.
@@ -244,7 +236,7 @@ class ByteAddressableSSD:
             # ppn first, then chase any pending GC relocations (the remap
             # table lives entirely in ppn space).
             ppn = PPN(host_page)
-            ppn = self._remap.get(ppn, ppn)
+            ppn = self.remaps.get(ppn, ppn)
             lpn = self.ftl.lpn_of(ppn)
             if lpn is None:
                 raise KeyError(f"host page {host_page} maps to no live flash page")
@@ -270,34 +262,32 @@ class ByteAddressableSSD:
         Returns (old page -> new page in host-visible numbering, cost of
         the single batched interrupt).
         """
-        if not self._remap:
+        if not self.remaps:
             return {}, 0
-        updates = {HostPage(old): HostPage(new) for old, new in self._remap.items()}
-        self._remap.clear()
+        updates = {HostPage(old): HostPage(new) for old, new in self.remaps.items()}
+        self.remaps.clear()
         self._remap_sources.clear()
         return updates, self.config.latency.pte_tlb_update_ns
 
     def take_background_ns(self) -> int:
         """Collect write-back time accrued since the last call."""
-        spent = self._pending_writeback_ns
-        self._pending_writeback_ns = 0
+        spent = self.pending_writeback_ns
+        self.pending_writeback_ns = 0
         return spent
 
     # ------------------------------------------------------------------ #
     # Byte interface (PCIe MMIO)
     # ------------------------------------------------------------------ #
 
-    def _ensure_cached(self, lpn: LPN) -> Tuple[CacheEntry, TimeNs, bool]:
-        """Find or fill the cache entry for ``lpn``: (entry, cost, was_hit)."""
+    def _ensure_cached(self, lpn: LPN) -> Tuple[CacheEntry, TimeNs]:
+        """Find or fill the cache entry for ``lpn``: (entry, fill cost)."""
         entry = self.cache.lookup(lpn)
         if entry is not None:
-            return entry, 0, True
+            return entry, 0
         _ppn, data, cost = self.ftl.read(lpn)
-        self.cache.insert(lpn, data, dirty=False)
-        entry = self.cache.peek(lpn)
-        assert entry is not None
+        entry = self.cache.insert(lpn, data, dirty=False)
         self._fills.add()
-        return entry, cost, False
+        return entry, cost
 
     def _check_span(self, offset: OffsetBytes, size: int) -> None:
         if offset < 0 or size <= 0 or offset + size > self.config.geometry.page_size:
@@ -308,19 +298,20 @@ class ByteAddressableSSD:
 
     def mmio_read(
         self, host_page: HostPage, offset: OffsetBytes, size: int, persist: bool = False
-    ) -> MMIOResult:
-        """Serve a memory read of ``size`` bytes via PCIe MMIO (§3.2)."""
+    ) -> Tuple[Optional[bytes], TimeNs]:
+        """Serve a memory read of ``size`` bytes via PCIe MMIO (§3.2):
+        returns (data, cost); data is None when payloads are not tracked."""
         self._check_span(offset, size)
         lpn = self.resolve_lpn(host_page)
         self._mmio_reads.add()
-        entry, fill_cost, hit = self._ensure_cached(lpn)
+        entry, fill_cost = self._ensure_cached(lpn)
         cost = fill_cost + self.pcie.mmio_read_cost(size)
         data = None
         if entry.data is not None:
             data = bytes(entry.data[offset : offset + size])
         if not persist and self.promotion_manager is not None:
             self.promotion_manager.update(entry)
-        return MMIOResult(cost, data, hit)
+        return data, cost
 
     def mmio_write(
         self,
@@ -329,8 +320,8 @@ class ByteAddressableSSD:
         size: int,
         data: Optional[bytes] = None,
         persist: bool = False,
-    ) -> MMIOResult:
-        """Serve a memory write via posted PCIe MMIO (§3.2).
+    ) -> TimeNs:
+        """Serve a memory write via posted PCIe MMIO (§3.2); returns its cost.
 
         With ``persist`` set (the PTE's P bit travelled in the TLP attribute
         field, §3.5) the page is excluded from promotion accounting, and the
@@ -341,7 +332,7 @@ class ByteAddressableSSD:
             raise ValueError(f"data length {len(data)} != size {size}")
         lpn = self.resolve_lpn(host_page)
         self._mmio_writes.add()
-        entry, fill_cost, hit = self._ensure_cached(lpn)
+        entry, fill_cost = self._ensure_cached(lpn)
         # Charge the link before touching device state: an injected PCIe
         # fault (PCIeFaultError) means the posted write never landed, so
         # nothing below may have happened yet.
@@ -360,7 +351,7 @@ class ByteAddressableSSD:
             self._durable_writes.add()
         elif self.promotion_manager is not None:
             self.promotion_manager.update(entry)
-        return MMIOResult(cost, None, hit)
+        return cost
 
     def peek_bytes(
         self, host_page: HostPage, offset: OffsetBytes, size: int
@@ -393,15 +384,17 @@ class ByteAddressableSSD:
             entry.data[offset : offset + len(data)] = data
         return True
 
-    def mmio_atomic(self, host_page: HostPage, offset: OffsetBytes, size: int) -> MMIOResult:
-        """A PCIe atomic (read-modify-write round trip) against the page."""
+    def mmio_atomic(self, host_page: HostPage, offset: OffsetBytes, size: int) -> TimeNs:
+        """A PCIe atomic (read-modify-write round trip) against the page;
+        returns its cost."""
+        self._check_span(offset, size)
         lpn = self.resolve_lpn(host_page)
-        entry, fill_cost, hit = self._ensure_cached(lpn)
+        entry, fill_cost = self._ensure_cached(lpn)
         # Link cost first: a faulted atomic aborts before mutating the entry.
         cost = fill_cost + self.pcie.mmio_atomic_cost(size)
         entry.dirty = True
         self._durable_writes.add()
-        return MMIOResult(cost, None, hit)
+        return cost
 
     def verify_read(self) -> TimeNs:
         """Write-verify read that flushes posted writes to the device (§3.5).
@@ -537,7 +530,7 @@ class ByteAddressableSSD:
             "exported_pages": self.ftl.exported_pages,
             "flash": self.flash.snapshot_state(),
             "ftl": self.ftl.snapshot_state(),
-            "remap": dict(self._remap),
+            "remap": dict(self.remaps),
         }
 
     def load_flash_image(self, image: dict) -> None:
@@ -555,6 +548,6 @@ class ByteAddressableSSD:
             )
         self.flash.restore_state(image["flash"])
         self.ftl.restore_state(image["ftl"])
-        self._remap = dict(image["remap"])
+        self.remaps = dict(image["remap"])
         self._rebuild_remap_index()
         self._posted_log.clear()

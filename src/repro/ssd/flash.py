@@ -12,7 +12,7 @@ Addresses here are *physical page numbers* (ppn), laid out block-major:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.config import LatencyConfig
 from repro.sim.sanitizers import (
@@ -23,13 +23,18 @@ from repro.sim.sanitizers import (
     FlashSanitizer,
 )
 from repro.sim.stats import StatRegistry
-from repro.units import PPN, BlockIndex
+from repro.units import PPN, BlockIndex, TimeNs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.plan import FaultInjector
 
 class FlashArray:
     """A NAND array with program/read/erase semantics and wear tracking.
+
+    Operations return plain tuples: :meth:`read` gives ``(data,
+    latency_ns, failed)``, :meth:`program` and :meth:`erase` give
+    ``(latency_ns, failed)``.  ``failed`` is True only when an injected
+    fault made the operation fail.
 
     Page state is one flat table, ``page_state``: a byte per ppn holding
     ``PAGE_ERASED``, ``PAGE_PROGRAMMED`` or ``PAGE_INVALID``.  Per-block
@@ -98,9 +103,10 @@ class FlashArray:
         self._check_ppn(ppn)
         return (ppn // self.pages_per_block) % self.num_channels
 
-    def read(self, ppn: PPN) -> "FlashOp":
-        """Read one page.  Reading erased/invalid pages is allowed (the FTL
-        never does it, but raw tools may) and returns zeros.
+    def read(self, ppn: PPN) -> Tuple[Optional[bytes], TimeNs, bool]:
+        """Read one page: returns (data, latency_ns, failed).  Reading
+        erased/invalid pages is allowed (the FTL never does it, but raw
+        tools may) and returns zeros.
 
         Under fault injection a read may come back ``failed`` — an
         uncorrectable-first-try ECC error.  The data is still carried (the
@@ -116,11 +122,11 @@ class FlashArray:
         failed = self.faults is not None and self.faults.fires("nand.read")
         if failed:
             self._read_faults.add()
-        return FlashOp(self.latency.flash_read_page_ns, data, failed=failed)
+        return data, self.latency.flash_read_page_ns, failed
 
-    def program(self, ppn: PPN, data: Optional[bytes] = None) -> "FlashOp":
-        """Program one erased page.  Programming a non-erased page is a bug
-        in the FTL and raises."""
+    def program(self, ppn: PPN, data: Optional[bytes] = None) -> Tuple[TimeNs, bool]:
+        """Program one erased page: returns (latency_ns, failed).
+        Programming a non-erased page is a bug in the FTL and raises."""
         self._check_ppn(ppn)
         if self.sanitizer is not None:
             self.sanitizer.on_program(ppn)
@@ -143,13 +149,13 @@ class FlashArray:
             self._program_fails.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_program_fail(ppn)
-            return FlashOp(self.latency.flash_program_page_ns, None, failed=True)
+            return self.latency.flash_program_page_ns, True
         self.page_state[ppn] = PAGE_PROGRAMMED
         self.valid_pages[block] += 1
         self._programs.add()
         if self.track_data:
             self._data[ppn] = bytes(data) if data is not None else b"\x00" * self.page_size
-        return FlashOp(self.latency.flash_program_page_ns, None)
+        return self.latency.flash_program_page_ns, False
 
     def invalidate(self, ppn: PPN) -> None:
         """Mark a programmed page invalid (out-of-place overwrite)."""
@@ -165,9 +171,9 @@ class FlashArray:
         if self.track_data:
             self._data.pop(ppn, None)
 
-    def erase(self, block_index: BlockIndex) -> "FlashOp":
-        """Erase a whole block.  Erasing a block with valid pages raises —
-        the GC must relocate them first."""
+    def erase(self, block_index: BlockIndex) -> Tuple[TimeNs, bool]:
+        """Erase a whole block: returns (latency_ns, failed).  Erasing a
+        block with valid pages raises — the GC must relocate them first."""
         if not 0 <= block_index < self.num_blocks:
             raise ValueError(f"block {block_index} out of range [0, {self.num_blocks})")
         if self.bad[block_index]:
@@ -186,7 +192,7 @@ class FlashArray:
             self._erase_fails.add()
             if self.sanitizer is not None:
                 self.sanitizer.on_erase_fail(block_index)
-            return FlashOp(self.latency.flash_erase_block_ns, None, failed=True)
+            return self.latency.flash_erase_block_ns, True
         first = block_index * self.pages_per_block
         end = first + self.pages_per_block
         self.page_state[first:end] = bytes(self.pages_per_block)
@@ -201,7 +207,7 @@ class FlashArray:
             # block is clean), but its cells are end-of-life.
             self.bad[block_index] = True
             self._wear_retired.add()
-        return FlashOp(self.latency.flash_erase_block_ns, None)
+        return self.latency.flash_erase_block_ns, False
 
     @property
     def total_programs(self) -> int:
@@ -256,23 +262,3 @@ class FlashArray:
         if self.sanitizer is not None:
             self.sanitizer.resync(self.page_state)
 
-
-class FlashOp:
-    """Result of a flash operation: its cost, (for reads) the data, and
-    whether an injected fault made the operation fail."""
-
-    __slots__ = ("latency_ns", "data", "failed")
-
-    def __init__(
-        self, latency_ns: int, data: Optional[bytes], failed: bool = False
-    ) -> None:
-        self.latency_ns = latency_ns
-        self.data = data
-        self.failed = failed
-
-    def __repr__(self) -> str:
-        return (
-            f"FlashOp(latency={self.latency_ns}ns, "
-            f"data={'yes' if self.data else 'no'}"
-            f"{', FAILED' if self.failed else ''})"
-        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.stats import Counter, StatRegistry
-from repro.ssd.flash import PAGE_PROGRAMMED, FlashArray, FlashOp
+from repro.ssd.flash import PAGE_PROGRAMMED, FlashArray
 from repro.units import LPN, PPN, BlockIndex, TimeNs
 
 RelocateHook = Callable[[int, int, int], None]  # (lpn, old_ppn, new_ppn)
@@ -155,13 +155,16 @@ class PageFTL:
     def read(self, lpn: LPN) -> Tuple[PPN, Optional[bytes], TimeNs]:
         """Read a logical page: returns (ppn, data, cost_ns)."""
         ppn = self.lookup(lpn)
-        op = self.flash.read(ppn)
-        if op.failed:
-            op = self._retry_ecc(ppn, op)
-        return ppn, op.data, op.latency_ns
+        data, cost, failed = self.flash.read(ppn)
+        if failed:
+            data, cost = self._retry_ecc(ppn, data, cost)
+        return ppn, data, cost
 
-    def _retry_ecc(self, ppn: PPN, op: FlashOp) -> FlashOp:
-        """Recover a read whose first try ``op`` failed ECC.
+    def _retry_ecc(
+        self, ppn: PPN, data: Optional[bytes], latency: TimeNs
+    ) -> Tuple[Optional[bytes], TimeNs]:
+        """Recover a read whose first try (``data``, ``latency`` ns) failed
+        ECC; returns the recovered (data, total latency_ns).
 
         A failed read is re-issued up to ``ecc_max_retries`` times (each
         charged a full page read).  If every retry fails, the FTL escalates
@@ -169,18 +172,17 @@ class PageFTL:
         of two extra page-read latencies — so data is never lost, only
         delayed; ``ftl.ecc_hard_errors`` counts the escalations.
         """
-        latency = op.latency_ns
         faults = self.flash.faults
         max_retries = faults.config.ecc_max_retries if faults is not None else 0
         for _ in range(max_retries):
             self._ecc_retries.add()
-            op = self.flash.read(ppn)
-            latency += op.latency_ns
-            if not op.failed:
-                return FlashOp(latency, op.data)
+            data, cost, failed = self.flash.read(ppn)
+            latency += cost
+            if not failed:
+                return data, latency
         self._ecc_hard_errors.add()
         latency += self.flash.latency.flash_read_page_ns * 2
-        return FlashOp(latency, op.data)
+        return data, latency
 
     def write(self, lpn: LPN, data: Optional[bytes] = None) -> Tuple[PPN, TimeNs]:
         """Out-of-place write of a logical page: returns (new_ppn, cost_ns)."""
@@ -230,9 +232,9 @@ class PageFTL:
             self._frontier_offset += 1
             if self._frontier_offset == pages_per_block:
                 self._frontier_block = None
-            op = self.flash.program(ppn, data)
-            cost += op.latency_ns
-            if not op.failed:
+            program_cost, failed = self.flash.program(ppn, data)
+            cost += program_cost
+            if not failed:
                 return ppn, cost
             self._program_retries.add()
 
@@ -323,11 +325,10 @@ class PageFTL:
             lpn = self.reverse.get(old_ppn)
             if lpn is None:
                 raise RuntimeError(f"valid page ppn={old_ppn} has no reverse mapping")
-            op = flash.read(old_ppn)
-            if op.failed:
-                op = self._retry_ecc(old_ppn, op)
-            cost += op.latency_ns
-            data = op.data
+            data, read_cost, failed = flash.read(old_ppn)
+            if failed:
+                data, read_cost = self._retry_ecc(old_ppn, data, read_cost)
+            cost += read_cost
             if self.page_source is not None:
                 fresher = self.page_source(lpn)
                 if fresher is not None:
@@ -335,9 +336,9 @@ class PageFTL:
             new_ppn, program_cost = self._program_retrying(data)
             cost += program_cost
             self._book(lpn, old_ppn, new_ppn, self._gc_writes)
-        erase = flash.erase(block)
-        cost += erase.latency_ns
-        if not erase.failed and not flash.bad[block]:
+        erase_cost, failed = flash.erase(block)
+        cost += erase_cost
+        if not failed and not flash.bad[block]:
             self._free_blocks.insert(0, block)
         if flash.sanitizer is not None:
             # Relocation must neither leak valid pages (moved but not

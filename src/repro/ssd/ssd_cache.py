@@ -140,12 +140,12 @@ class SSDCache:
 
     def insert(
         self, lpn: LPN, data: Optional[bytes] = None, dirty: bool = False
-    ) -> Optional[CacheEntry]:
-        """Install a page; returns the entry evicted to make room, if any.
+    ) -> CacheEntry:
+        """Install a page; returns its new entry.
 
-        The evicted entry is handed to eviction hooks first (so the
-        promotion manager can retire its counters) and, when dirty, must be
-        written back by the caller (the device charges the flash program).
+        An entry evicted to make room is handed to the eviction hooks (so
+        the promotion manager can retire its counters and, when the entry
+        is dirty, the device can write it back).
         """
         if lpn in self._where:
             raise ValueError(f"lpn {lpn} is already cached; use lookup/write")
@@ -173,7 +173,7 @@ class SSDCache:
         row[way] = entry
         self._where[lpn] = set_index * self.ways + way
         policy.on_insert(way)
-        return victim
+        return entry
 
     def invalidate(self, lpn: LPN) -> Optional[CacheEntry]:
         """Drop a page (e.g. it was promoted to host DRAM); returns it."""

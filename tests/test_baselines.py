@@ -51,6 +51,19 @@ class TestPagingBehaviour:
         unified = UnifiedMMap(small_config())
         assert traditional.dram.num_frames <= unified.dram.num_frames
 
+    def test_unified_device_books_no_gc_remaps(self):
+        """UnifiedMMap's faults read by lpn and its evictions re-derive the
+        ppn from the FTL, so nothing drains a GC remap table: dirty
+        write-backs (out-of-place rewrites) must not book one."""
+        system = UnifiedMMap(small_config())
+        frames = system.dram.num_frames
+        region = system.mmap(frames + 8)
+        for _sweep in range(2):
+            for page in range(frames + 8):
+                system.store(region.page_addr(page, 0), 8)
+        assert system.stats.counters()["mem.pages_out"] > 0
+        assert system.ssd.remaps == {}
+
     def test_traditional_uses_device_ftl(self):
         traditional = TraditionalStack(small_config())
         unified = UnifiedMMap(small_config())

@@ -48,29 +48,29 @@ class TestMapping:
 class TestMMIO:
     def test_read_miss_then_hit(self, mapped):
         device, page = mapped
-        miss = device.mmio_read(page, 0, 64)
-        assert not miss.cache_hit
-        hit = device.mmio_read(page, 0, 64)
-        assert hit.cache_hit
-        assert hit.latency_ns < miss.latency_ns
+        _data, miss_ns = device.mmio_read(page, 0, 64)
+        assert device.stats.counters()["ssd.cache_fills"] == 1  # a miss fills
+        _data, hit_ns = device.mmio_read(page, 0, 64)
+        assert device.stats.counters()["ssd.cache_fills"] == 1  # a hit does not
+        assert hit_ns < miss_ns
 
     def test_write_then_read_round_trips(self, mapped):
         device, page = mapped
         device.mmio_write(page, 100, 4, b"abcd")
-        result = device.mmio_read(page, 100, 4)
-        assert result.data == b"abcd"
+        data, _cost = device.mmio_read(page, 100, 4)
+        assert data == b"abcd"
 
     def test_write_hit_cost_is_posted(self, mapped):
         device, page = mapped
         device.mmio_read(page, 0, 64)  # fill
-        result = device.mmio_write(page, 0, 64)
-        assert result.latency_ns == device.config.latency.mmio_write_cacheline_ns
+        cost = device.mmio_write(page, 0, 64)
+        assert cost == device.config.latency.mmio_write_cacheline_ns
 
     def test_read_hit_cost_is_one_round_trip(self, mapped):
         device, page = mapped
         device.mmio_read(page, 0, 64)
-        result = device.mmio_read(page, 64, 64)
-        assert result.latency_ns == device.config.latency.mmio_read_cacheline_ns
+        _data, cost = device.mmio_read(page, 64, 64)
+        assert cost == device.config.latency.mmio_read_cacheline_ns
 
     def test_wrong_data_length_rejected(self, mapped):
         device, page = mapped
@@ -208,27 +208,26 @@ class TestBackgroundAccounting:
 
 
 class TestSpanValidation:
-    def test_read_beyond_page_rejected(self, mapped):
+    @pytest.mark.parametrize(
+        "offset, size",
+        [
+            pytest.param(4_090, 16, id="crosses-page"),
+            pytest.param(4_095, 8, id="last-byte-overrun"),
+            pytest.param(-1, 8, id="negative-offset"),
+            pytest.param(0, 0, id="zero-size"),
+        ],
+    )
+    @pytest.mark.parametrize("op", ["mmio_read", "mmio_write", "mmio_atomic"])
+    def test_span_outside_one_page_rejected(self, mapped, op, offset, size):
+        """Every byte-interface op applies the one span rule before it
+        touches or charges anything."""
         device, page = mapped
-        with pytest.raises(ValueError):
-            device.mmio_read(page, 4_090, 16)
-
-    def test_write_beyond_page_rejected(self, mapped):
-        device, page = mapped
-        with pytest.raises(ValueError):
-            device.mmio_write(page, 4_095, 8)
-
-    def test_negative_offset_rejected(self, mapped):
-        device, page = mapped
-        with pytest.raises(ValueError):
-            device.mmio_read(page, -1, 8)
-
-    def test_zero_size_rejected(self, mapped):
-        device, page = mapped
-        with pytest.raises(ValueError):
-            device.mmio_read(page, 0, 0)
+        before = device.stats.as_dict()
+        with pytest.raises(ValueError, match="outside one 4096-byte page"):
+            getattr(device, op)(page, offset, size)
+        assert device.stats.as_dict() == before
 
     def test_full_page_span_allowed(self, mapped):
         device, page = mapped
-        result = device.mmio_read(page, 0, 4_096)
-        assert len(result.data) == 4_096
+        data, _cost = device.mmio_read(page, 0, 4_096)
+        assert len(data) == 4_096

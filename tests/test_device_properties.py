@@ -51,7 +51,7 @@ def test_device_matches_dict_model(ops):
             device.mmio_write(host_page, offset, 16, payload)
             pages[lpn][offset : offset + 16] = payload
         elif op == "mmio_read" and host_page is not None:
-            data = device.mmio_read(host_page, offset, 16).data
+            data, _cost = device.mmio_read(host_page, offset, 16)
             assert data == bytes(pages[lpn][offset : offset + 16])
         elif op == "page_write" and host_page is not None:
             payload = bytes([value]) * PAGE
@@ -70,7 +70,7 @@ def test_device_matches_dict_model(ops):
     # Final check: every still-mapped page reads back its model bytes.
     for lpn in model_mapped:
         host_page = device.host_page_of(lpn)
-        data = device.mmio_read(host_page, 0, PAGE).data
+        data, _cost = device.mmio_read(host_page, 0, PAGE)
         assert data == bytes(pages[lpn]), f"lpn {lpn} diverged"
 
 
@@ -90,7 +90,7 @@ def test_heavy_overwrite_churn_with_tiny_cache(writes):
         device.mmio_write(device.host_page_of(lpn), 64, 32, payload)
         model[lpn] = payload
     for lpn, payload in model.items():
-        data = device.mmio_read(device.host_page_of(lpn), 64, 32).data
+        data, _cost = device.mmio_read(device.host_page_of(lpn), 64, 32)
         assert data == payload
 
 

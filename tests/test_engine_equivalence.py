@@ -6,12 +6,14 @@ configured systems: once through the scalar ``load``/``store`` loop and
 once through :func:`repro.engine.replay`.  Every observable must match
 exactly: per-op latencies, stats counters (hit/miss classifications,
 promotion decisions), final page-table state, TLB content and order,
-DRAM frame state, and the simulated clock.
+DRAM frame state, the simulated clock, and the event log (each event's
+kind, timestamp and fields).
 
 Seeded mutants then check the gate has teeth: an off-by-one at a chunk
 boundary, a dropped promotion settle, a TLB probe that records one
-extra lookup, and a page-table walk that charges one extra nanosecond
-must each be caught at the expected assertion.  The last two mutate
+extra lookup, a page-table walk that charges one extra nanosecond, and
+a faulted row that skips the DRAM kernel's frame touch must each be
+caught at the expected assertion.  The TLB and walk mutants mutate
 scalar kernels the fused path inlines, so this suite is what ties the
 inlined copies to their originals.
 
@@ -23,6 +25,8 @@ patching :func:`repro.engine.guards.fused_blockers` on the replay module
 """
 
 import importlib
+import inspect
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -65,6 +69,7 @@ def build_system(kind_name, track_data=False):
         config.geometry.dram_pages = REGION_PAGES + 8
     kind = SYSTEMS[kind_name]
     system = kind(config)
+    system.enable_event_log(capacity=1 << 16)
     region = system.mmap(REGION_PAGES)
     return system, region
 
@@ -92,6 +97,7 @@ def observable_state(system):
         "frames": frames,
         "clock": system.clock.now,
         "stats": system.stats.snapshot(),
+        "events": system.events(),
     }
 
 
@@ -308,6 +314,68 @@ def test_mutant_tlb_probe_extra_lookup_is_caught(monkeypatch):
     monkeypatch.setattr(TLB, "lookup", mutant_lookup)
     with pytest.raises(AssertionError, match="FlatFlash diverged on stats"):
         assert_equivalent("FlatFlash", _uniform_trace(11))
+
+
+def mutated_replay_fused(old, new):
+    """``_replay_fused`` compiled with one source fragment replaced: a
+    seeded mutant of inline code that no function patch can reach."""
+    source = textwrap.dedent(inspect.getsource(replay_module._replay_fused))
+    assert source.count(old) == 1, "mutation site moved; update the mutant"
+    namespace = dict(vars(replay_module))
+    exec(compile(source.replace(old, new), replay_module.__file__, "exec"), namespace)
+    return namespace["_replay_fused"]
+
+
+@pytest.mark.parametrize("kind_name", ["TraditionalStack", "UnifiedMMap"])
+def test_faulted_rows_run_the_fault_then_the_fused_kernel(kind_name):
+    """A paging row whose page is not in DRAM runs the fault handler and
+    then the fused DRAM kernel: it counts as delegated, and
+    ``_access_page`` (the scalar path's) is never called."""
+    trace = _uniform_trace(15)
+    engine_system, _ = build_system(kind_name)
+    with mock.patch.object(
+        type(engine_system), "_handle_fault", autospec=True,
+        side_effect=type(engine_system)._handle_fault,
+    ) as handle_fault:
+        engine_system._access_page = mock.Mock(side_effect=AssertionError("scalar path"))
+        result = replay(engine_system, trace)
+    faults = engine_system.stats.counters()["mem.page_faults"]
+    assert faults > 0
+    assert handle_fault.call_count == faults
+    assert result.delegated_ops == faults
+    assert result.fused_ops == len(trace.rows) - faults
+
+
+def test_mutant_faulted_row_skipping_frame_touch_is_caught(monkeypatch):
+    """A faulted row that skips the DRAM kernel's frame touch (and the
+    store's dirty bit) must trip the gate."""
+    mutant = mutated_replay_fused(
+        """                    try:
+                        stall_ns += handle_fault(vpn, pte)
+                    finally:
+                        now = clk._now
+""",
+        """                    try:
+                        stall_ns += handle_fault(vpn, pte)
+                    finally:
+                        now = clk._now
+                    latency = stall_ns + (store_ns if is_write else load_ns)
+                    now += latency
+                    lat_append(latency)
+                    dram_tally[latency] = dram_tally.get(latency, 0) + 1
+                    continue
+""",
+    )
+    monkeypatch.setattr(replay_module, "_replay_fused", mutant)
+    # Random pages, not interleaved load/store pairs: a faulted row's page
+    # is rarely touched again at once, which would mask the skipped touch.
+    rng = np.random.default_rng(17)
+    addrs = rng.integers(0, REGION_PAGES * page - 128, size=64).astype(np.int64)
+    trace = AccessTrace.from_columns(addrs, np.full(64, 8), rng.integers(0, 2, size=64))
+    # The skipped dirty bit turns later dirty evictions clean, so the
+    # write-back costs (latencies) are the first observable to diverge.
+    with pytest.raises(AssertionError, match="latencies diverged"):
+        assert_equivalent("TraditionalStack", trace)
 
 
 def test_mutant_walk_cost_off_by_one_is_caught(monkeypatch):

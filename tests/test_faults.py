@@ -108,27 +108,27 @@ def test_forced_read_fault_flags_op_but_carries_data():
     flash = make_flash(injector(forced={"nand.read": (1,)}))
     payload = bytes(range(256))
     flash.program(0, payload)
-    assert flash.read(0).failed is False
-    bad = flash.read(0)  # second read: forced index 1
-    assert bad.failed is True
-    assert bad.data == payload  # ECC error is a retryable event, not data loss
+    assert flash.read(0)[2] is False
+    data, _latency, failed = flash.read(0)  # second read: forced index 1
+    assert failed is True
+    assert data == payload  # ECC error is a retryable event, not data loss
 
 
 def test_forced_program_fail_burns_page():
     flash = make_flash(injector(forced={"nand.program": (0,)}))
-    op = flash.program(0, b"\xaa" * 256)
-    assert op.failed
+    _latency, failed = flash.program(0, b"\xaa" * 256)
+    assert failed
     assert flash.page_state[0] == PAGE_INVALID
     # The page is consumed: a fresh program must use another page.
-    ok = flash.program(1, b"\xbb" * 256)
-    assert not ok.failed
-    assert flash.read(1).data == b"\xbb" * 256
+    _latency, failed = flash.program(1, b"\xbb" * 256)
+    assert not failed
+    assert flash.read(1)[0] == b"\xbb" * 256
 
 
 def test_forced_erase_fail_retires_block():
     flash = make_flash(injector(forced={"nand.erase": (0,)}))
-    op = flash.erase(0)
-    assert op.failed
+    _latency, failed = flash.erase(0)
+    assert failed
     assert flash.bad[0]
     with pytest.raises(RuntimeError):
         flash.erase(0)  # bad blocks must never be erased again
@@ -151,8 +151,8 @@ def test_snapshot_restore_roundtrip():
     image = flash.snapshot_state()
     other = make_flash()
     other.restore_state(image)
-    assert other.read(0).data == b"\x11" * 256
-    assert other.read(1).data == b"\x22" * 256
+    assert other.read(0)[0] == b"\x11" * 256
+    assert other.read(1)[0] == b"\x22" * 256
     assert other.bad[2]
     assert other.page_state[0] == PAGE_PROGRAMMED
 

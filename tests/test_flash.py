@@ -38,29 +38,31 @@ def test_program_then_read_round_trips_data():
     flash = make_flash()
     payload = bytes(range(256))
     flash.program(3, payload)
-    op = flash.read(3)
-    assert op.data == payload
+    data, _latency, _failed = flash.read(3)
+    assert data == payload
 
 
 def test_program_without_data_reads_zeros():
     flash = make_flash()
     flash.program(0)
-    assert flash.read(0).data == b"\x00" * 256
+    assert flash.read(0)[0] == b"\x00" * 256
 
 
 def test_read_erased_page_returns_zeros():
     flash = make_flash()
-    assert flash.read(5).data == b"\x00" * 256
+    assert flash.read(5)[0] == b"\x00" * 256
 
 
 def test_program_costs_program_latency():
     flash = make_flash()
-    assert flash.program(0).latency_ns == LatencyConfig().flash_program_page_ns
+    assert flash.program(0) == (LatencyConfig().flash_program_page_ns, False)
 
 
 def test_read_costs_read_latency():
     flash = make_flash()
-    assert flash.read(0).latency_ns == LatencyConfig().flash_read_page_ns
+    _data, latency, failed = flash.read(0)
+    assert latency == LatencyConfig().flash_read_page_ns
+    assert not failed
 
 
 def test_program_twice_without_erase_raises():
@@ -122,7 +124,7 @@ def test_erase_clears_data():
     flash.invalidate(0)
     flash.erase(0)
     flash.program(0)  # must be programmable again
-    assert flash.read(0).data == b"\x00" * 256
+    assert flash.read(0)[0] == b"\x00" * 256
 
 
 def test_block_page_accounting():
@@ -162,7 +164,7 @@ def test_program_counter():
 def test_no_data_tracking_mode():
     flash = make_flash(track_data=False)
     flash.program(0, None)
-    assert flash.read(0).data is None
+    assert flash.read(0)[0] is None
 
 
 # --------------------------------------------------------------------- #
@@ -220,7 +222,8 @@ def test_counts_follow_table_through_faults_and_restore(
             and not flash.valid_pages[block]
             and block not in erased_clean
         ):
-            if not flash.erase(block).failed:
+            _latency, failed = flash.erase(block)
+            if not failed:
                 erased_clean.add(block)
     assert_counts_match_table(flash)
 
@@ -239,7 +242,7 @@ def test_counts_follow_table_through_faults_and_restore(
         for ppn in range(first, first + PAGES):
             if restored.page_state[ppn] == PAGE_PROGRAMMED:
                 restored.invalidate(ppn)
-        assert not restored.erase(block).failed
-        assert not restored.program(first).failed
+        assert not restored.erase(block)[1]
+        assert not restored.program(first)[1]
         assert restored.erase_counts[block] == flash.erase_counts[block] + 1
     assert_counts_match_table(restored)

@@ -79,6 +79,16 @@ class TestPCIeLink:
         with pytest.raises(ValueError):
             link.mmio_read_cost(0)
 
+    @pytest.mark.parametrize("size", [0, -8])
+    @pytest.mark.parametrize("cost", ["dma_to_host_cost", "dma_from_host_cost"])
+    def test_dma_bad_size_rejected_before_counting(self, link, cost, size):
+        """Both DMA directions apply the transfer-size rule before any
+        ``pcie.*`` counter moves."""
+        before = link.stats.counters()
+        with pytest.raises(ValueError, match="transfer size must be > 0"):
+            getattr(link, cost)(size)
+        assert link.stats.counters() == before
+
     def test_invalid_cacheline_size_rejected(self):
         with pytest.raises(ValueError):
             PCIeLink(LatencyConfig(), cacheline_size=0)

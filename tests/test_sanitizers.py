@@ -132,26 +132,45 @@ def test_clock_detects_tampered_state():
         clock.advance(10)
 
 
-def test_clock_detects_tampering_on_the_fused_replay_path():
-    """The fused replay hands each batched advance to the clock, so a
-    delegated access that rewinds the clock is caught at the next sync."""
-    system = TraditionalStack(small_config(sanitizers=SanitizerConfig.all()))
+def assert_rewind_caught_before_next_scalar_call(system, method):
+    """Make ``system.<method>`` (the scalar call the fused replay hands a
+    row to) rewind the clock, and check that the replay's clock sync
+    before the *next* scalar call catches it: a replay that stopped
+    syncing before scalar calls would make the second one and only trip
+    at its final flush."""
     region = system.mmap(4)
-    real_access_page = system._access_page
+    real = getattr(system, method)
+    calls = []
 
-    def rewinding_access_page(*args):
-        result = real_access_page(*args)
+    def rewinding(*args):
+        calls.append(args)
+        result = real(*args)
         system.clock._now -= 1
         return result
 
-    system._access_page = rewinding_access_page
-    # Page 0 faults in (delegated), its revisit is a DRAM hit (fused),
-    # then page 1 faults (delegated) and syncs the clock first.
+    setattr(system, method, rewinding)
+    # Page 0 goes to the scalar call, its revisit is a DRAM hit (fused) or
+    # another scalar call, then page 1 needs a scalar call and syncs the
+    # clock first.
     pages = np.array([0, 0, 1, 1], dtype=np.int64)
     trace = AccessTrace.loads(region.addr(0) + pages * region.page_size, 8)
     assert fused_blockers(system) == []
     with pytest.raises(ClockSanitizerError, match="tampered"):
         replay(system, trace)
+    assert len(calls) == 1
+
+
+def test_clock_detects_tampering_on_the_fused_replay_path():
+    """The fused replay hands each batched advance to the clock, so a
+    paging fault that rewinds the clock is caught at the next sync."""
+    system = TraditionalStack(small_config(sanitizers=SanitizerConfig.all()))
+    assert_rewind_caught_before_next_scalar_call(system, "_handle_fault")
+
+
+def test_clock_detects_tampering_on_a_thin_delegated_row():
+    """Same for a FlatFlash SSD access, which the replay delegates whole."""
+    system = FlatFlash(small_config(sanitizers=SanitizerConfig.all()))
+    assert_rewind_caught_before_next_scalar_call(system, "_access_page")
 
 
 def test_clock_clean_integer_advances():

@@ -61,12 +61,17 @@ def test_double_insert_rejected():
 
 def test_eviction_when_set_full():
     cache = make_cache(pages=4, ways=2)  # 2 sets
+    evicted = []
+    cache.add_evict_hook(lambda entry: evicted.append(entry.lpn))
     # lpns 0, 2, 4 all map to set 0; third insert evicts one.
     cache.insert(0, None)
     cache.insert(2, None)
-    victim = cache.insert(4, None)
-    assert victim is not None
-    assert victim.lpn in (0, 2)
+    entry = cache.insert(4, None)
+    assert entry.lpn == 4
+    assert cache.peek(4) is entry  # insert returns the installed entry
+    assert len(evicted) == 1
+    assert evicted[0] in (0, 2)
+    assert not cache.contains(evicted[0])
     assert cache.occupancy == 2
 
 
@@ -155,8 +160,9 @@ def test_lru_policy_evicts_least_recent():
     cache.insert(0, None)
     cache.insert(1, None)
     cache.lookup(0)  # 0 is now more recent
-    victim = cache.insert(2, None)
-    assert victim.lpn == 1
+    cache.insert(2, None)
+    assert not cache.contains(1)  # the least recent page was the victim
+    assert cache.contains(0)
 
 
 def test_lru_set_prefers_free_way():
