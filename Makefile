@@ -31,8 +31,9 @@ faults:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Serial, uncached regeneration of EXPERIMENTS.md.
 experiments:
-	$(PYTHON) -m repro all
+	$(PYTHON) -m repro sweep --jobs 1 --no-cache
 
 # Parallel, cached regeneration of EXPERIMENTS.md plus the perf artifact.
 sweep:

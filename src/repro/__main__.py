@@ -5,8 +5,8 @@ Usage::
     python -m repro list                # available experiments
     python -m repro run fig9            # one table/figure
     python -m repro run ablations
-    python -m repro all [output.md]     # everything -> EXPERIMENTS.md (serial)
-    python -m repro sweep [output.md]   # everything, parallel + cached
+    python -m repro sweep [output.md]   # everything -> EXPERIMENTS.md, parallel + cached
+    python -m repro sweep --jobs 1 --no-cache   # the same, serial and uncached
     python -m repro race [--seeds N]    # schedule-perturbation check
     python -m repro analyze [paths]     # simlint + simflow
     python -m repro faults [--smoke]    # deterministic fault-injection campaign
@@ -80,24 +80,18 @@ def main(argv=None) -> int:
     subparsers.add_parser("list", help="list available experiments")
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    all_parser = subparsers.add_parser(
-        "all", help="run everything and write EXPERIMENTS.md"
-    )
-    all_parser.add_argument("output", nargs="?", default="EXPERIMENTS.md")
     from repro.sweep import cli as sweep_cli
 
     sweep_parser = subparsers.add_parser(
         "sweep", help="run all cells in parallel with the content-addressed cache"
     )
     sweep_cli.configure_parser(sweep_parser)
-    from repro.experiments.race_check import positive_int
-
     race_parser = subparsers.add_parser(
         "race", help="perturb DES schedules and diff stats (dynamic race check)"
     )
     race_parser.add_argument(
         "--seeds",
-        type=positive_int,
+        type=sweep_cli.positive_int,
         default=5,
         help="perturbed schedules per system/scheme (default 5)",
     )
@@ -109,16 +103,13 @@ def main(argv=None) -> int:
     )
     analyze.configure_parser(analyze_parser)
 
+    from repro.faults import campaign
+
     faults_parser = subparsers.add_parser(
         "faults",
         help="run the deterministic fault-injection campaign (simfault)",
     )
-    faults_parser.add_argument("--seed", type=int, default=0)
-    faults_parser.add_argument("--smoke", action="store_true")
-    faults_parser.add_argument("--json", metavar="PATH", default=None)
-    faults_parser.add_argument(
-        "--only", action="append", metavar="SCENARIO", default=None
-    )
+    campaign.configure_parser(faults_parser)
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -135,26 +126,9 @@ def main(argv=None) -> int:
     if args.command == "analyze":
         return analyze.run(args)
     if args.command == "faults":
-        from repro.faults.campaign import main as faults_main
-
-        faults_argv = ["--seed", str(args.seed)]
-        if args.smoke:
-            faults_argv.append("--smoke")
-        if args.json:
-            faults_argv += ["--json", args.json]
-        for scenario in args.only or ():
-            faults_argv += ["--only", scenario]
-        return faults_main(faults_argv)
+        return campaign.run(args)
     if args.command == "sweep":
         return sweep_cli.run(args)
-    if args.command == "all":
-        from repro.experiments.run_all import generate
-        from repro.sweep.document import write_document
-
-        content = generate()
-        write_document(args.output, content)
-        print(f"wrote {args.output} ({len(content)} bytes)")
-        return 0
     return 1  # pragma: no cover - argparse enforces choices
 
 

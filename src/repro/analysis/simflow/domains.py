@@ -257,7 +257,6 @@ REGISTRY: Tuple[Translation, ...] = (
     Translation("walk", ("page_table",), (VPN,), (None, TIME_NS), "page-table walk"),
     Translation("entry", ("page_table",), (VPN,), None, "page-table entry"),
     Translation("lookup", ("page_table",), (VPN,), None, "page-table lookup"),
-    Translation("remove", ("page_table",), (VPN,), None, "page-table remove"),
     Translation("lookup", ("tlb",), (VPN,), None, "TLB probe"),
     Translation("fill", ("tlb",), (VPN,), None, "TLB fill"),
     Translation("invalidate", ("tlb",), (VPN,), TIME_NS, "TLB shootdown"),
@@ -267,7 +266,6 @@ REGISTRY: Tuple[Translation, ...] = (
         "start", ("plb",), (HOST_PAGE, PFN, None, TIME_NS), None, "PLB fill start"
     ),
     Translation("lookup", ("plb",), (HOST_PAGE,), None, "PLB probe"),
-    Translation("dram_addr", ("bridge",), (PFN, OFFSET_BYTES), PLAIN, "DRAM address forge"),
     Translation("ssd_addr", ("bridge",), (HOST_PAGE, OFFSET_BYTES), PLAIN, "SSD address forge"),
     # ssd: FTL map — the LPN→PPN translation proper
     Translation("lookup", ("ftl",), (LPN,), PPN, "FTL map lookup"),
@@ -275,7 +273,6 @@ REGISTRY: Tuple[Translation, ...] = (
     Translation("map_page", ("ftl",), (LPN,), (PPN, TIME_NS), "FTL map fill"),
     Translation("write", ("ftl",), (LPN, None), (PPN, TIME_NS), "FTL out-of-place write"),
     Translation("read", ("ftl",), (LPN,), None, "FTL read"),
-    Translation("trim", ("ftl",), (LPN,), None, "FTL trim"),
     Translation("is_mapped", ("ftl",), (LPN,), None, "FTL map probe"),
     # ssd: cache (keyed by LPN)
     Translation("lookup", ("cache",), (LPN,), None, "SSD-cache lookup"),
@@ -295,7 +292,13 @@ REGISTRY: Tuple[Translation, ...] = (
         "host_page_of", None, (LPN,), HOST_PAGE, "logical page → BAR page", pun=True
     ),
     Translation("map_page", ("ssd", "device"), (LPN,), (HOST_PAGE, TIME_NS), "device map"),
-    Translation("write_page", ("ssd", "device"), (LPN, None), None, "device page write"),
+    Translation(
+        "write_page_block",
+        ("ssd", "device"),
+        (LPN, None),
+        (HOST_PAGE, TIME_NS),
+        "device page write",
+    ),
     Translation(
         "read_page_for_promotion",
         ("ssd", "device"),
@@ -305,7 +308,6 @@ REGISTRY: Tuple[Translation, ...] = (
     ),
     Translation("mmio_read", ("ssd", "device"), (HOST_PAGE,), (None, TIME_NS), "MMIO read"),
     Translation("mmio_write", ("ssd", "device"), (HOST_PAGE,), TIME_NS, "MMIO write"),
-    Translation("mmio_atomic", ("ssd", "device"), (HOST_PAGE,), TIME_NS, "PCIe atomic"),
     Translation("drain_remaps", ("ssd", "device"), (), (None, TIME_NS), "remap drain"),
     # core: region bookkeeping (VPN → LPN is linear tiling, but must be cast)
     Translation("lpn_of_vpn", None, (VPN,), LPN, "region vpn→lpn map"),

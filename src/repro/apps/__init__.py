@@ -12,7 +12,6 @@ from repro.apps.filesystem import FileSystemKind, make_filesystem
 from repro.apps.flatfs import FlatFS, FsError
 from repro.apps.graph_analytics import GraphEngine
 from repro.apps.kvstore import KVStore, run_ycsb
-from repro.apps.slab_kvstore import SlabKVStore, StoreFullError
 from repro.apps.wal import LogFullError, WriteAheadLog
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "WriteAheadLog",
     "LogFullError",
     "BPlusTree",
-    "SlabKVStore",
-    "StoreFullError",
     "FlatFS",
     "FsError",
 ]

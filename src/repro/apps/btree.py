@@ -275,50 +275,6 @@ class BPlusTree:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    # ------------------------------------------------------------------ #
-    # YCSB-E driver (scan-heavy workload over the ordered index)
-    # ------------------------------------------------------------------ #
-
-    def run_ycsb_e(
-        self,
-        num_ops: int,
-        num_records: int,
-        max_scan_length: int = 50,
-        theta: float = 0.99,
-        seed: int = 41,
-    ):
-        """YCSB workload E: 95 % short range scans / 5 % inserts.
-
-        The tree must be preloaded with keys ``[0, num_records)``.  Returns
-        per-operation latency statistics (scan latency = the whole range
-        traversal through the memory hierarchy).
-        """
-        import numpy as np
-
-        from repro.sim.stats import LatencyStats
-        from repro.workloads.zipfian import ZipfianGenerator
-
-        if num_ops <= 0 or num_records <= 0:
-            raise ValueError("num_ops and num_records must be > 0")
-        if max_scan_length <= 0:
-            raise ValueError(f"max_scan_length must be > 0, got {max_scan_length}")
-        rng = np.random.default_rng(seed)
-        zipf = ZipfianGenerator(num_records, theta=theta, seed=seed + 1)
-        stats = LatencyStats("YCSB-E")
-        next_insert = num_records
-        for _ in range(num_ops):
-            start_ns = self.system.clock.now
-            if rng.random() < 0.05:
-                self.insert(next_insert, next_insert)
-                next_insert += 1
-            else:
-                start_key = int(zipf.sample_scattered(1)[0])
-                length = int(rng.integers(1, max_scan_length + 1))
-                for _pair in self.scan(start_key, start_key + length):
-                    pass
-            stats.record(self.system.clock.now - start_ns)
-        return stats
-
     @property
     def height(self) -> int:
         """Levels from root to leaf (1 for a lone leaf)."""

@@ -120,7 +120,7 @@ class _FileSystemBase:
         for _ in range(pages):
             lpn = self.metadata_region.base_vpn + (self._data_lpn_cursor % region_pages)
             self._data_lpn_cursor += 1
-            cost = software + device.write_page_block(lpn, None)
+            cost = software + device.write_page_block(lpn, None)[1]
             self.system.charge_foreground(cost)
 
     def run(self, stream: OpStream) -> FSRunResult:
@@ -174,7 +174,7 @@ class BlockJournalFS(_FileSystemBase):
                 self._journal_cursor % self.journal_region.num_pages
             )
             self._journal_cursor += 1
-            cost = software + device.write_page_block(lpn, None)
+            cost = software + device.write_page_block(lpn, None)[1]
             self.system.charge_foreground(cost)
             self._journal_writes.add()
 

@@ -14,12 +14,10 @@ the simulator.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.memory_system import MemorySystem
-from repro.engine import OP_LOAD, OP_STORE, AccessTrace, replay
+from repro.engine import OP_STORE, AccessTrace, replay
 from repro.workloads.graphs import CSRGraph
 
 
@@ -147,118 +145,6 @@ class GraphEngine:
             next_ranks = np.zeros(n, dtype=np.float64)
             np.add.at(next_ranks, graph.indices, np.repeat(ranks / out_degree, degrees))
             dangling = ranks[degrees == 0].sum()
-            ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
-        return ranks
-
-    # ------------------------------------------------------------------ #
-    # GraphChi-style sharded execution (parallel sliding windows)
-    # ------------------------------------------------------------------ #
-
-    def _ensure_csc(self) -> None:
-        """Build the target-sorted (CSC) edge layout GraphChi shards use.
-
-        Each shard's edges are stored together with their source values, so
-        a shard pass is one sequential stream plus updates confined to the
-        shard's vertex interval — that is what lets GraphChi keep the
-        active state DRAM-resident for any graph size.
-        """
-        if hasattr(self, "_csc_sources"):
-            return
-        graph = self.graph
-        order = np.argsort(graph.indices, kind="stable")
-        self._csc_sources = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr)
-        )[order]
-        targets_sorted = graph.indices[order]
-        counts = np.bincount(targets_sorted, minlength=graph.num_vertices)
-        self._csc_indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._csc_indptr[1:])
-        # Shard storage: each edge record carries (source id, source value).
-        shard_bytes = max(1, graph.num_edges) * 2 * self.ELEMENT_SIZE
-        self.shard_region = self.system.mmap(
-            -(-shard_bytes // self.system.page_size), name="graph.shards"
-        )
-
-    def _shard_trace(self, bounds: np.ndarray) -> AccessTrace:
-        """One sharded iteration's access stream as a flat trace.
-
-        Per shard, in order: a sequential cache-line stream over the
-        shard's (source, value) edge records, then one state store per
-        vertex of the shard's interval that has in-edges (window-local
-        updates).  After the last shard comes a sequential stream over
-        every shard's records: GraphChi's rewrite of the attached source
-        values.
-        """
-        esize = self.ELEMENT_SIZE
-        record = 2 * esize
-        line = self._line
-        shard_base = self.shard_region.addr(0)
-        state_base = self.state_region.addr(0)
-        indptr = self._csc_indptr
-        columns = []
-
-        def stream(first_edge: int, last_edge: int) -> None:
-            if last_edge > first_edge:
-                start = first_edge * record // line * line
-                lines = np.arange(start, last_edge * record, line)
-                columns.append((shard_base + lines, line, OP_LOAD))
-
-        for shard in range(len(bounds) - 1):
-            lo, hi = int(bounds[shard]), int(bounds[shard + 1])
-            stream(int(indptr[lo]), int(indptr[hi]))
-            touched = lo + np.flatnonzero(np.diff(indptr[lo : hi + 1]))
-            columns.append((state_base + touched * esize, esize, OP_STORE))
-        stream(0, self.graph.num_edges)
-        return AccessTrace.from_columns(
-            np.concatenate([addrs for addrs, _, _ in columns]),
-            np.concatenate([np.full(len(addrs), size) for addrs, size, _ in columns]),
-            np.concatenate([np.full(len(addrs), op) for addrs, _, op in columns]),
-        )
-
-    def pagerank_sharded(
-        self,
-        iterations: int = 5,
-        damping: float = 0.85,
-        num_shards: Optional[int] = None,
-        charge_accesses: bool = True,
-    ) -> np.ndarray:
-        """PageRank with GraphChi's sharded access pattern.
-
-        Results are identical to :meth:`pagerank`; only the *memory access
-        pattern* differs — per shard: one sequential edge stream (records
-        carry the source values), writes confined to the shard's vertex
-        interval, and a sequential rewrite of the shard's source values at
-        the end of the iteration.
-        """
-        if iterations <= 0:
-            raise ValueError(f"iterations must be > 0, got {iterations}")
-        self._ensure_csc()
-        graph = self.graph
-        n = graph.num_vertices
-        if num_shards is None:
-            num_shards = max(1, n * self.ELEMENT_SIZE // (16 * self.system.page_size))
-        if num_shards < 1 or num_shards > n:
-            raise ValueError(f"num_shards must be in [1, {n}], got {num_shards}")
-        bounds = np.linspace(0, n, num_shards + 1, dtype=np.int64)
-        ranks = np.full(n, 1.0 / n, dtype=np.float64)
-        out_degree = np.maximum(1, np.diff(graph.indptr)).astype(np.float64)
-        trace = self._shard_trace(bounds) if charge_accesses else None
-        for _ in range(iterations):
-            if trace is not None:
-                replay(self.system, trace)
-            next_ranks = np.zeros(n, dtype=np.float64)
-            for shard in range(num_shards):
-                lo, hi = int(bounds[shard]), int(bounds[shard + 1])
-                first = int(self._csc_indptr[lo])
-                last = int(self._csc_indptr[hi])
-                sources = self._csc_sources[first:last]
-                shares = ranks[sources] / out_degree[sources]
-                targets_in_shard = np.repeat(
-                    np.arange(lo, hi, dtype=np.int64),
-                    np.diff(self._csc_indptr[lo : hi + 1]),
-                )
-                np.add.at(next_ranks, targets_in_shard, shares)
-            dangling = ranks[np.diff(graph.indptr) == 0].sum()
             ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
         return ranks
 

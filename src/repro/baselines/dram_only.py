@@ -42,11 +42,6 @@ class DRAMOnly(MemorySystem):
         pte.point_to_dram(frame.index)
         pte.persist = persist
 
-    def _unmap_page(self, vpn: int) -> None:
-        pte = self.page_table.lookup(vpn)
-        if pte is not None and pte.frame_index is not None:
-            self.dram.free(self.dram.frames[pte.frame_index])
-
     def _access_page(
         self, vpn: int, offset: int, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:

@@ -40,8 +40,8 @@ class PagingMemorySystem(MemorySystem):
         if config is None:
             config = FlatFlashConfig()
         super().__init__(config)
-        # Faults read pages by lpn and evictions re-derive each ppn from the
-        # FTL, so nothing here drains GC remaps: the device keeps no table.
+        # Faults read pages by lpn and evictions take each ppn from the FTL,
+        # so nothing here drains GC remaps: the device keeps no table.
         self.ssd = ByteAddressableSSD(
             config,
             host_merged_ftl=self.host_merged_ftl,
@@ -55,7 +55,6 @@ class PagingMemorySystem(MemorySystem):
             effective_frames,
             config.geometry.page_size,
             track_data=config.track_data,
-            policy="clock",  # kernel-style scan-resistant reclaim
             stats=self.stats,
         )
         self._pages_in = self.stats.counter("mem.pages_in")
@@ -75,16 +74,6 @@ class PagingMemorySystem(MemorySystem):
         pte = self.page_table.entry(vpn)
         pte.point_to_ssd(ssd_page, present=False)  # access will fault
         pte.persist = persist
-
-    def _unmap_page(self, vpn: int) -> None:
-        pte = self.page_table.lookup(vpn)
-        if pte is None:
-            return
-        if pte.present and pte.domain is Domain.DRAM and pte.frame_index is not None:
-            self.dram.free(self.dram.frames[pte.frame_index])
-        lpn = self._vpn_to_lpn.get(vpn)
-        if lpn is not None and self.ssd.ftl.is_mapped(lpn):
-            self.ssd.trim(lpn)
 
     # ------------------------------------------------------------------ #
     # Access path
@@ -174,13 +163,14 @@ class PagingMemorySystem(MemorySystem):
         assert vpn is not None
         was_dirty = frame.dirty
         lpn = self.lpn_of_vpn(vpn)
-        cost = 0
         if was_dirty:
             data = bytes(frame.data) if frame.data is not None else None
-            cost += self.ssd.write_page_block(lpn, data)
+            ssd_page, cost = self.ssd.write_page_block(lpn, data)
             self._pages_out.add()
+        else:
+            ssd_page, cost = self.ssd.host_page_of(lpn), 0
         pte = self.page_table.entry(vpn)
-        pte.point_to_ssd(self.ssd.host_page_of(lpn), present=False)
+        pte.point_to_ssd(ssd_page, present=False)
         cost += self.tlb.invalidate(vpn)
         self.dram.free(frame)
         self._evictions.add()

@@ -15,7 +15,7 @@ seconds.  Experiments override the geometry per figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.plan import FaultConfig
@@ -238,10 +238,6 @@ class FlatFlashConfig:
                 f"readahead_pages must be >= 0, got {self.readahead_pages}"
             )
         return self
-
-    def scaled(self, **geometry_overrides: object) -> "FlatFlashConfig":
-        """A copy with geometry fields replaced (convenience for sweeps)."""
-        return replace(self, geometry=replace(self.geometry, **geometry_overrides))
 
 
 def small_config(**overrides: object) -> FlatFlashConfig:

@@ -76,7 +76,6 @@ class FlatFlash(MemorySystem):
             page_size=geometry.page_size,
             plb_entries=geometry.plb_entries,
             stats=self.stats,
-            persistence_sanitizer=self.ssd.persistence_sanitizer,
         )
         if self.ssd.faults is not None:
             # Fault injection active: install the MMIO retry/backoff policy
@@ -129,19 +128,6 @@ class FlatFlash(MemorySystem):
         pte.point_to_ssd(ssd_page, present=True)
         pte.persist = persist
         self._ssd_page_to_vpn[ssd_page] = vpn
-
-    def _unmap_page(self, vpn: VPN) -> None:
-        self.quiesce()  # settle in-flight promotions before tearing down
-        pte = self.page_table.lookup(vpn)
-        if pte is None:
-            return
-        if pte.domain is Domain.DRAM and pte.frame_index is not None:
-            self.dram.free(self.dram.frames[pte.frame_index])
-        elif pte.ssd_page is not None:
-            self._ssd_page_to_vpn.pop(pte.ssd_page, None)
-        lpn = self._vpn_to_lpn.get(vpn)
-        if lpn is not None and self.ssd.ftl.is_mapped(lpn):
-            self.ssd.trim(lpn)
 
     # ------------------------------------------------------------------ #
     # Access path
@@ -327,7 +313,7 @@ class FlatFlash(MemorySystem):
                     data if data is not None else b"\x00" * size
                 )
                 merged = bytes(buffer)
-            cost += self.ssd.write_page_block(lpn, merged)
+            cost += self.ssd.write_page_block(lpn, merged)[1]
             self._background_ns.add(self.ssd.take_background_ns())
             return AccessResult(cost, "ssd_block")
         page, read_cost = self.ssd.read_page_block(lpn)
@@ -589,7 +575,12 @@ class FlatFlash(MemorySystem):
         """Point the promoted page's PTE at its DRAM ``frame``; returns the
         PTE/TLB update cost, which the caller charges to the background or
         (PLB off) to the access."""
-        self.page_table.entry(frame.vpn).point_to_dram(frame.index)
+        pte = self.page_table.entry(frame.vpn)
+        if pte.persist and self.ssd.persistence_sanitizer is not None:
+            # Persist pages are pinned to the SSD (§3.5): host DRAM is
+            # outside the durability domain.
+            self.ssd.persistence_sanitizer.on_persist_routed("dram", frame.index)
+        pte.point_to_dram(frame.index)
         self._ssd_page_to_vpn.pop(ssd_page, None)
         return self.config.latency.pte_tlb_update_ns + self.tlb.invalidate(frame.vpn)
 
@@ -639,7 +630,7 @@ class FlatFlash(MemorySystem):
         lpn = self.lpn_of_vpn(vpn)
         data = bytes(frame.data) if frame.data is not None else None
         if was_dirty:
-            new_ssd_page, cost = self.ssd.write_page(lpn, data)
+            new_ssd_page, cost = self.ssd.write_page_block(lpn, data)
         else:
             # Clean page: the flash copy is current; just drop the frame.
             new_ssd_page, cost = self.ssd.host_page_of(lpn), 0
@@ -668,7 +659,7 @@ class FlatFlash(MemorySystem):
         for old_page, new_page in updates.items():
             vpn = self._ssd_page_to_vpn.pop(old_page, None)
             if vpn is None:
-                continue  # page was promoted or unmapped meanwhile
+                continue  # page was promoted meanwhile
             pte = self.page_table.entry(vpn)
             if pte.domain is Domain.SSD and pte.ssd_page == old_page:
                 pte.ssd_page = new_page

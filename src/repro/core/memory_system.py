@@ -153,26 +153,6 @@ class MemorySystem(abc.ABC):
     def _map_page(self, vpn: VPN, lpn: LPN, persist: bool) -> None:
         """Create the initial PTE for one page of a new region."""
 
-    def munmap(self, region: MappedRegion) -> None:
-        """Unmap a region: release frames, TRIM the SSD backing, drop PTEs.
-
-        Virtual addresses are not recycled (each mmap gets fresh vpns), so
-        a dangling pointer into an unmapped region faults loudly instead of
-        aliasing new data.
-        """
-        if region not in self.regions:
-            raise ValueError(f"{region!r} is not mapped on this system")
-        vpns = [region.base_vpn + page for page in range(region.num_pages)]
-        for vpn in vpns:
-            self._unmap_page(vpn)
-            self._vpn_to_lpn.pop(vpn, None)
-            self.page_table.remove(vpn)
-        self._background_ns.add(self.tlb.batch_invalidate(vpns))
-        self.regions.remove(region)
-
-    def _unmap_page(self, vpn: VPN) -> None:
-        """Release one page's backing resources (subclass hook)."""
-
     def lpn_of_vpn(self, vpn: VPN) -> LPN:
         try:
             return self._vpn_to_lpn[vpn]

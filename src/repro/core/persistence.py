@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.memory_system import MappedRegion
-from repro.interconnect.pcie import PCIeFaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.hierarchy import FlatFlash
@@ -100,45 +99,6 @@ class PersistentRegion:
             # The store is acknowledged durable here: no posted persist
             # write may remain unfenced, or a crash would lose it.
             sanitizer.ack_durable(f"durable_store(offset={offset}, size={size})")
-        return cost
-
-    def atomic_store(self, offset: int, size: int) -> int:
-        """A PCIe atomic against the region: durable on completion (non-posted)."""
-        system = self.system
-        vpn = (self.region.base_addr + offset) // system.page_size
-        pte = system.page_table.lookup(vpn)
-        if pte is None or pte.ssd_page is None:
-            raise KeyError(f"persistent page vpn={vpn} is not SSD-resident")
-        retry = system.bridge.mmio_retry
-        page_offset = offset % system.page_size
-        extra_ns = 0
-        attempts = 1 if retry is None else retry.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                cost = system.ssd.mmio_atomic(pte.ssd_page, page_offset, size)
-            except PCIeFaultError as fault:
-                extra_ns += fault.latency_ns
-                assert retry is not None  # faults only fire with a policy
-                if attempt < retry.max_retries:
-                    extra_ns += retry.backoff_ns(attempt)
-                continue
-            cost += extra_ns
-            system.clock.advance(cost)
-            return cost
-        # Retries exhausted: complete the update through the block path —
-        # a whole-page read-modify-write through the FTL, durable in flash.
-        assert retry is not None
-        retry.note_giveup()
-        lpn = system.ssd.resolve_lpn(pte.ssd_page)
-        page, read_cost = system.ssd.read_page_block(lpn)
-        write_cost = system.ssd.write_page_block(lpn, page)
-        cost = (
-            extra_ns
-            + system.config.latency.block_io_software_ns
-            + read_cost
-            + write_cost
-        )
-        system.clock.advance(cost)
         return cost
 
     def load(self, offset: int, size: int) -> Optional[bytes]:

@@ -37,7 +37,6 @@ Run it with ``python -m repro race`` or ``make race``.
 
 from __future__ import annotations
 
-import argparse
 from typing import Callable, Dict, List, Optional
 
 from repro.apps.database import LoggingScheme, run_oltp
@@ -168,30 +167,3 @@ def run_race_check(seeds: int = 5, verbose: bool = True) -> int:
         return 1
     print("race check passed: all invariant stats byte-identical across seeds")
     return 0
-
-
-def positive_int(text: str) -> int:
-    """argparse type for ``--seeds``: a strictly positive integer."""
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro race",
-        description="Replay the tiny OLTP config under perturbed DES schedules.",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=positive_int,
-        default=5,
-        help="number of perturbed schedules per system/scheme (default 5)",
-    )
-    args = parser.parse_args(argv)
-    return run_race_check(seeds=args.seeds)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

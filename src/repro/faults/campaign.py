@@ -599,11 +599,7 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Run the deterministic fault-injection campaign matrix.",
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=0, help="fault-plan seed (default 0)"
     )
@@ -621,11 +617,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--only",
         action="append",
+        choices=SCENARIO_NAMES,
         metavar="SCENARIO",
         default=None,
         help=f"run a subset (repeatable); choices: {', '.join(SCENARIOS)}",
     )
-    args = parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
     report = run_campaign(seed=args.seed, smoke=args.smoke, scenarios=args.only)
     for entry in report["scenarios"]:
         summary = ", ".join(
@@ -644,7 +643,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(render_report(report))
         print(f"report written to {args.json}")
     return 1 if report["problem_count"] else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,7 +26,6 @@ site                                    drawn on
 ``nand.erase``                          every block erase (erase fail → bad block)
 ``pcie.mmio_read.timeout`` / ``.corrupt``    every non-posted MMIO read
 ``pcie.mmio_write.timeout`` / ``.corrupt``   every posted MMIO write
-``pcie.mmio_atomic.timeout`` / ``.corrupt``  every PCIe atomic
 ``pcie.device_loss``                    every MMIO transaction (link dies)
 ======================================  =======================================
 
@@ -62,8 +61,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "pcie.mmio_read.corrupt",
     "pcie.mmio_write.timeout",
     "pcie.mmio_write.corrupt",
-    "pcie.mmio_atomic.timeout",
-    "pcie.mmio_atomic.corrupt",
     "pcie.device_loss",
 )
 

@@ -88,8 +88,6 @@ def restart_system(old_system: FlatFlash) -> FlatFlash:
             persist_of[region.base_vpn + page] = region.persist
     for vpn, lpn in old_system._vpn_to_lpn.items():
         system._vpn_to_lpn[vpn] = lpn
-        if not system.ssd.ftl.is_mapped(lpn):
-            continue  # trimmed before the crash: stays unbacked
         ssd_page = system.ssd.host_page_of(lpn)
         pte = system.page_table.entry(vpn)
         pte.point_to_ssd(ssd_page, present=True)

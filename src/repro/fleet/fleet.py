@@ -218,7 +218,6 @@ class FlatFlashFleet(MemorySystem):
         self.ssd = _FleetStoragePort(self)
         #: Completed failovers, in declaration order.
         self.failover_events: List[FailoverEvent] = []
-        self._local_regions: Dict[Tuple[int, int], object] = {}
         self._page_persist: Dict[int, bool] = {}
         self._pending_losses: List[Tuple[int, int]] = sorted(
             fleet.scheduled_losses
@@ -293,24 +292,9 @@ class FlatFlashFleet(MemorySystem):
             if len(copies) > 1:
                 self._replicas.register(int(vpn), tuple(copies))
 
-    def _unmap_page(self, vpn: VPN) -> None:
-        entry = self._router.lookup(int(vpn))
-        if entry is None:
-            return
-        copies = self._replicas.copies(int(vpn)) or [entry]
-        for device_index, local in copies:
-            region = self._local_regions.pop((device_index, local), None)
-            if region is not None and self._device_state[device_index] == "active":
-                self.devices[device_index].munmap(region)
-        self._router.remove(int(vpn))
-        self._replicas.discard(int(vpn))
-        self._page_persist.pop(int(vpn), None)
-
     def _allocate_local(self, device_index: int, persist: bool, name: str) -> int:
         """One fresh backing page on a member device; returns its local vpn."""
-        region = self.devices[device_index].mmap(1, persist=persist, name=name)
-        self._local_regions[(device_index, region.base_vpn)] = region
-        return region.base_vpn
+        return self.devices[device_index].mmap(1, persist=persist, name=name).base_vpn
 
     def _pick_active(self, preferred: int) -> int:
         if self._device_state[preferred] == "active":
@@ -539,11 +523,9 @@ class FlatFlashFleet(MemorySystem):
                 if not survivors:
                     # Every copy died (repeated losses outran repair);
                     # step 2 relocates it and charges the durable loss.
-                    self._replicas.discard(vpn)
                     continue
                 new_primary, new_local = survivors[0]
                 self._replicas.promote(vpn, new_primary)
-                self._local_regions.pop((device_index, copies[0][1]), None)
                 self._router.remap(vpn, new_primary, new_local)
                 promoted += 1
             if self.fleet_config.re_replicate:
@@ -560,8 +542,7 @@ class FlatFlashFleet(MemorySystem):
         # relocate to fresh zeroed pages on survivors and count the loss.
         volatile_before = self._volatile_lost.value
         durable_before = self._durable_lost.value
-        for vpn, local in self._router.pages_on(device_index):
-            self._local_regions.pop((device_index, local), None)
+        for vpn, _local in self._router.pages_on(device_index):
             if self._page_persist.get(vpn, False):
                 self._lose_durable_page(vpn)
             else:
@@ -598,7 +579,7 @@ class FlatFlashFleet(MemorySystem):
         # Local pages are their own device-level lpns — sanctioned cast.
         data, read_cost = source.ssd.read_page_block(LPN(source_local))
         new_local = self._allocate_local(target_index, True, f"repair:v{vpn}")
-        write_cost = target.ssd.write_page_block(LPN(new_local), data)
+        _page, write_cost = target.ssd.write_page_block(LPN(new_local), data)
         self._replicas.record_repair(vpn, target_index, new_local)
         return read_cost + write_cost
 

@@ -68,14 +68,18 @@ class ReplicaMap:
         return copies[0]
 
     def record_loss(self, vpn: int, device: int) -> None:
-        """Drop the copy on a failed device from the page's copy set."""
+        """Drop the copy on a failed device from the page's copy set; a
+        page whose last copy died is forgotten."""
         copies = self._copies.get(vpn)
         if not copies:
             raise KeyError(f"vpn {vpn} has no copy set")
         kept = [(dev, local) for dev, local in copies if dev != device]
         if len(kept) == len(copies):
             raise KeyError(f"vpn {vpn} has no copy on device {device}")
-        self._copies[vpn] = kept
+        if kept:
+            self._copies[vpn] = kept
+        else:
+            del self._copies[vpn]
         self._on_device[device].discard(vpn)
         self._lost.add()
 
@@ -89,13 +93,6 @@ class ReplicaMap:
         copies.append((device, local_vpn))
         self._on_device.setdefault(device, set()).add(vpn)
         self._repairs.add()
-
-    def discard(self, vpn: int) -> None:
-        """Forget a page entirely (munmap); no-op when unreplicated."""
-        copies = self._copies.pop(vpn, None)
-        if copies:
-            for device, _local in copies:
-                self._on_device[device].discard(vpn)
 
     def pages_with_copy_on(self, device: int) -> List[int]:
         """Replicated vpns holding a copy on a device, sorted."""

@@ -1,28 +1,21 @@
-"""Host bridge (root complex): physical-address routing and the PLB.
+"""Host bridge (root complex): the SSD BAR window, the PLB and MMIO retry.
 
 The host bridge connects CPU, memory controller and PCIe (Fig. 2).  In the
-simulator it does three jobs:
-
-* classify host physical addresses into the DRAM region or the SSD BAR
-  window and split them into (page, offset);
-* carry the Persist (P) bit: during address translation the physical
-  address is prefixed with the PTE's P bit, and the bridge moves it into
-  the PCIe TLP's attribute field with the address bit masked out (§3.5);
-* host the :class:`~repro.host.plb.PLB` for in-flight promotions.
+simulator it places the SSD BAR above host DRAM, forms host physical
+addresses inside that window, hosts the :class:`~repro.host.plb.PLB` for
+in-flight promotions and, under fault injection, the MMIO retry policy.
+The Persist (P) bit needs no address tagging here: the access path reads
+it from the PTE and hands it to the device with each MMIO request (§3.5).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.host.plb import PLB
 from repro.interconnect.pcie import BarWindow
-from repro.sim.sanitizers import PersistenceSanitizer
 from repro.sim.stats import StatRegistry
-from repro.units import LPN, PFN, HostPage, OffsetBytes, TimeNs
-
-#: Bit position used to prefix physical addresses with the Persist flag.
-PERSIST_BIT_SHIFT = 62
+from repro.units import LPN, HostPage, OffsetBytes, TimeNs
 
 
 class MMIORetryPolicy:
@@ -116,7 +109,7 @@ class MMIORetryPolicy:
 
 
 class HostBridge:
-    """Routes physical addresses and tracks in-flight promotions."""
+    """The SSD BAR window plus the PLB of in-flight promotions."""
 
     def __init__(
         self,
@@ -125,7 +118,6 @@ class HostBridge:
         page_size: int,
         plb_entries: int,
         stats: Optional[StatRegistry] = None,
-        persistence_sanitizer: Optional[PersistenceSanitizer] = None,
     ) -> None:
         if dram_bytes <= 0:
             raise ValueError(f"dram_bytes must be > 0, got {dram_bytes}")
@@ -135,17 +127,18 @@ class HostBridge:
             raise ValueError(
                 f"SSD BAR base {ssd_bar.base:#x} overlaps DRAM of {dram_bytes} bytes"
             )
-        self.dram_bytes = dram_bytes
         self.ssd_bar = ssd_bar
         self.page_size = page_size
         self.stats = stats if stats is not None else StatRegistry()
-        self.persistence_sanitizer = persistence_sanitizer
         self.plb = PLB(plb_entries, stats=self.stats)
         # Installed by FlatFlash when fault injection is active; None keeps
         # the fault-free fast path byte-identical to the baseline.
         self.mmio_retry: Optional[MMIORetryPolicy] = None
-        self._to_dram = self.stats.counter("bridge.requests_to_dram")
-        self._to_ssd = self.stats.counter("bridge.requests_to_ssd")
+        # Never incremented, but perf/expected.json hashes every registered
+        # counter of a FlatFlash run, so the registrations stay until the
+        # pins are regenerated.
+        self.stats.counter("bridge.requests_to_dram")
+        self.stats.counter("bridge.requests_to_ssd")
 
     def register_shared(self, recorder) -> None:
         """Name the bridge's shared objects for the dynamic access
@@ -153,58 +146,6 @@ class HostBridge:
         of one memory system all route through this bridge and its PLB."""
         recorder.register(self, "bridge")
         recorder.register(self.plb, "bridge.plb")
-        recorder.register(self._to_dram, "bridge.requests_to_dram")
-        recorder.register(self._to_ssd, "bridge.requests_to_ssd")
-
-    # ------------------------------------------------------------------ #
-    # Persist-bit handling (§3.5)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def tag_persist(phys_addr: int, persist: bool) -> int:
-        """Prefix a physical address with the P bit (done at translation)."""
-        if persist:
-            return phys_addr | (1 << PERSIST_BIT_SHIFT)
-        return phys_addr
-
-    @staticmethod
-    def split_persist(tagged_addr: int) -> Tuple[int, bool]:
-        """Mask the P bit out of a tagged address: (address, persist)."""
-        persist = bool(tagged_addr & (1 << PERSIST_BIT_SHIFT))
-        return tagged_addr & ~(1 << PERSIST_BIT_SHIFT), persist
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-
-    def route(self, tagged_addr: int) -> Tuple[str, int, int, bool]:
-        """Classify a (possibly P-tagged) physical address.
-
-        Returns ``(target, page, offset, persist)`` where target is
-        ``"dram"`` (page = frame index) or ``"ssd"`` (page = device page
-        number inside the BAR).
-        """
-        phys_addr, persist = self.split_persist(tagged_addr)
-        if phys_addr < self.dram_bytes:
-            frame = phys_addr // self.page_size
-            if persist and self.persistence_sanitizer is not None:
-                # Persist pages are pinned to the SSD (§3.5); a P-tagged
-                # request landing in volatile DRAM breaks durability.
-                self.persistence_sanitizer.on_persist_routed("dram", frame)
-            self._to_dram.add()
-            return "dram", frame, phys_addr % self.page_size, persist
-        if self.ssd_bar.contains(phys_addr):
-            self._to_ssd.add()
-            offset = self.ssd_bar.offset_of(phys_addr)
-            return "ssd", offset // self.page_size, offset % self.page_size, persist
-        raise ValueError(f"physical address {phys_addr:#x} maps to no device")
-
-    def dram_addr(self, frame_index: PFN, offset: OffsetBytes = 0) -> int:
-        """Host physical address of a DRAM frame byte."""
-        addr = frame_index * self.page_size + offset
-        if addr >= self.dram_bytes:
-            raise ValueError(f"frame {frame_index} outside DRAM")
-        return addr
 
     def ssd_addr(self, device_page: HostPage, offset: OffsetBytes = 0) -> int:
         """Host physical address of a byte in the SSD BAR window."""

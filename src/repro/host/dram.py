@@ -43,19 +43,15 @@ class HostDRAM:
         num_frames: int,
         page_size: int,
         track_data: bool = True,
-        policy: str = "lru",
         stats: Optional[StatRegistry] = None,
     ) -> None:
         if num_frames <= 0:
             raise ValueError(f"num_frames must be > 0, got {num_frames}")
         if page_size <= 0:
             raise ValueError(f"page_size must be > 0, got {page_size}")
-        if policy not in ("lru", "clock"):
-            raise ValueError(f"unknown eviction policy {policy!r}")
         self.num_frames = num_frames
         self.page_size = page_size
         self.track_data = track_data
-        self.policy = policy
         self.frames = [Frame(i) for i in range(num_frames)]
         self._free = list(range(num_frames - 1, -1, -1))
         self._lru: "OrderedDict[int, None]" = OrderedDict()  # frame idx, LRU first
@@ -109,14 +105,7 @@ class HostDRAM:
         if frame.index in self._lru:
             self._lru.move_to_end(frame.index)
 
-    def lru_victim(self) -> Frame:
-        """The least-recently-used allocated frame (not removed)."""
-        if not self._lru:
-            raise RuntimeError("no allocated frames to evict")
-        index = next(iter(self._lru))
-        return self.frames[index]
-
-    def clock_victim(self) -> Frame:
+    def victim(self) -> Frame:
         """Second-chance (CLOCK) victim: skips recently referenced frames.
 
         Kernel-style scan-resistant reclaim: the hand sweeps allocated
@@ -138,12 +127,6 @@ class HostDRAM:
             else:
                 return frame
         return self.frames[allocated[0]]  # every frame hot: degrade to FIFO
-
-    def victim(self) -> Frame:
-        """A victim frame according to the configured policy."""
-        if self.policy == "clock":
-            return self.clock_victim()
-        return self.lru_victim()
 
     def iter_lru(self) -> Iterator[Frame]:
         """Allocated frames from least- to most-recently used."""

@@ -97,10 +97,6 @@ class PageTable:
             raise KeyError(f"vpn {vpn} has no mapping (unmapped address)")
         return pte, self.walk_cost_ns
 
-    def remove(self, vpn: VPN) -> Optional[PageTableEntry]:
-        """Drop a mapping (munmap); returns the removed PTE if it existed."""
-        return self._entries.pop(vpn, None)
-
     def mapped_vpns(self) -> Dict[VPN, PageTableEntry]:
         return dict(self._entries)
 

@@ -3,7 +3,7 @@
 FlatFlash reaches the SSD through PCIe memory-mapped I/O (Section 3.1): one of
 the SSD's Base Address Registers exposes the flash address space to the host,
 the host bridge routes physical addresses inside that window to the device,
-and the CPU issues loads/stores (including atomics) directly against it.
+and the CPU issues loads/stores directly against it.
 
 The model here is deliberately simple — a latency-and-traffic model, not a
 TLP-level simulation:
@@ -124,7 +124,9 @@ class PCIeLink:
         self._reads = self.stats.counter("pcie.mmio_reads")
         self._device_losses = self.stats.counter("pcie.device_losses")
         self._writes = self.stats.counter("pcie.mmio_writes")
-        self._atomics = self.stats.counter("pcie.mmio_atomics")
+        # Never incremented; registered because perf/expected.json hashes
+        # every registered counter.
+        self.stats.counter("pcie.mmio_atomics")
         self._dma_ops = self.stats.counter("pcie.dma_ops")
         self._bytes_to_device = self.stats.counter("pcie.bytes_to_device")
         self._bytes_from_device = self.stats.counter("pcie.bytes_from_device")
@@ -200,17 +202,6 @@ class PCIeLink:
         if self.persistence_sanitizer is not None:
             self.persistence_sanitizer.on_posted_tlp(lines)
         return lines * self.latency.mmio_write_cacheline_ns
-
-    def mmio_atomic_cost(self, size: int) -> TimeNs:
-        """Cost of a PCIe atomic (round trip: behaves like a read)."""
-        lines = self._cachelines(size)
-        self._atomics.add(1)
-        self._bytes_to_device.add(size)
-        self._bytes_from_device.add(size)
-        self._maybe_fault("mmio_atomic", lines * self.latency.mmio_read_cacheline_ns)
-        if self.persistence_sanitizer is not None:
-            self.persistence_sanitizer.on_ordering_read()
-        return lines * self.latency.mmio_read_cacheline_ns
 
     def verify_read_cost(self) -> TimeNs:
         """Cost of the write-verify read flushing posted writes (§3.5)."""

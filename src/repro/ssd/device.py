@@ -15,15 +15,15 @@ Two FTL placements are supported:
 * ``host_merged_ftl=True`` (FlatFlash / UnifiedMMap): host PTEs hold flash
   physical page numbers; GC relocation is absorbed by a *remap table* that
   the host drains lazily in batches (§4).  Only a host that drains it keeps
-  one: the paging baselines read pages by lpn and re-derive each ppn from
-  the FTL, so they build their device with ``remap_table=False``.
+  one: the paging baselines read pages by lpn and take each ppn from the
+  FTL, so they build their device with ``remap_table=False``.
 * ``host_merged_ftl=False`` (TraditionalStack): the host addresses logical
   pages and every access pays a device-side FTL lookup.
 
 The device never advances a clock itself — every operation returns its cost
 in nanoseconds, and callers (the memory systems) charge it appropriately.
 Byte-interface results are plain values: ``mmio_read`` returns ``(data,
-cost)``, ``mmio_write`` and ``mmio_atomic`` return the cost.
+cost)`` and ``mmio_write`` returns the cost.
 """
 
 from __future__ import annotations
@@ -384,18 +384,6 @@ class ByteAddressableSSD:
             entry.data[offset : offset + len(data)] = data
         return True
 
-    def mmio_atomic(self, host_page: HostPage, offset: OffsetBytes, size: int) -> TimeNs:
-        """A PCIe atomic (read-modify-write round trip) against the page;
-        returns its cost."""
-        self._check_span(offset, size)
-        lpn = self.resolve_lpn(host_page)
-        entry, fill_cost = self._ensure_cached(lpn)
-        # Link cost first: a faulted atomic aborts before mutating the entry.
-        cost = fill_cost + self.pcie.mmio_atomic_cost(size)
-        entry.dirty = True
-        self._durable_writes.add()
-        return cost
-
     def verify_read(self) -> TimeNs:
         """Write-verify read that flushes posted writes to the device (§3.5).
 
@@ -435,17 +423,6 @@ class ByteAddressableSSD:
         cost = flash_cost + self.pcie.dma_to_host_cost(self.config.geometry.page_size)
         return data, False, cost
 
-    def write_page(self, lpn: LPN, data: Optional[bytes]) -> Tuple[HostPage, TimeNs]:
-        """Page write-back (DRAM eviction / block write).
-
-        Returns (new host-visible page number, cost).  Any cached copy is
-        dropped — it is stale relative to the incoming data.
-        """
-        self.cache.invalidate(lpn)
-        dma = self.pcie.dma_from_host_cost(self.config.geometry.page_size)
-        _new_ppn, cost = self.ftl.write(lpn, data)
-        return self.host_page_of(lpn), dma + cost
-
     def read_page_block(self, lpn: LPN) -> Tuple[Optional[bytes], TimeNs]:
         """Block-interface page read (paging baselines).
 
@@ -465,20 +442,23 @@ class ByteAddressableSSD:
         cost += flash_cost + self.pcie.dma_to_host_cost(self.config.geometry.page_size)
         return data, cost
 
-    def write_page_block(self, lpn: LPN, data: Optional[bytes]) -> TimeNs:
-        """Block-interface page write (paging baselines)."""
+    def write_page_block(self, lpn: LPN, data: Optional[bytes]) -> Tuple[HostPage, TimeNs]:
+        """Block-interface page write (DRAM eviction write-back, block I/O).
+
+        Returns (new host-visible page number, cost).  Device-FTL mode
+        charges the FTL lookup.  Any cached copy is dropped — it is stale
+        relative to the incoming data.
+        """
         cost = 0
         if not self.host_merged_ftl:
             cost += self.config.latency.ftl_lookup_ns
         self.cache.invalidate(lpn)
         dma = self.pcie.dma_from_host_cost(self.config.geometry.page_size)
-        _new_ppn, write_cost = self.ftl.write(lpn, data)
-        return cost + dma + write_cost
-
-    def trim(self, lpn: LPN) -> None:
-        """Discard a logical page: drop any cached copy and TRIM the FTL."""
-        self.cache.invalidate(lpn)
-        self.ftl.trim(lpn)
+        # The FTL runs any GC before it programs, so the returned ppn is
+        # the lpn's mapping when the write returns.
+        new_ppn, write_cost = self.ftl.write(lpn, data)
+        page = HostPage(new_ppn) if self.host_merged_ftl else HostPage(lpn)
+        return page, cost + dma + write_cost
 
     # ------------------------------------------------------------------ #
     # Crash / recovery (persistence experiments)

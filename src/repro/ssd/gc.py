@@ -10,11 +10,10 @@ instead the SSD's garbage collector collects them periodically (§3.2, §4):
   moved pages' PTE/TLB entries are updated lazily through the device's
   remap table.
 
-The relocation mechanics live in :class:`repro.ssd.ftl.PageFTL`, whose one
-relocation routine serves GC and static wear leveling alike; this class
-adds the cache-folding policy (installed as the FTL's ``page_source``, so
-both fold) and a periodic ``flush_dirty`` destage used when the cache
-pressure (dirty ratio) grows.
+The relocation mechanics live in :class:`repro.ssd.ftl.PageFTL`; this class
+adds the cache-folding policy (installed as the FTL's ``page_source``) and
+the dirty-page destage: one entry for an SSD-Cache victim, or every dirty
+page for a battery-backed crash.
 """
 
 from __future__ import annotations
@@ -36,17 +35,11 @@ class GarbageCollector:
         flash: FlashArray,
         ftl: PageFTL,
         cache: SSDCache,
-        dirty_ratio_limit: float = 0.5,
         stats: Optional[StatRegistry] = None,
     ) -> None:
-        if not 0.0 < dirty_ratio_limit <= 1.0:
-            raise ValueError(
-                f"dirty_ratio_limit must be in (0, 1], got {dirty_ratio_limit}"
-            )
         self.flash = flash
         self.ftl = ftl
         self.cache = cache
-        self.dirty_ratio_limit = dirty_ratio_limit
         self.stats = stats if stats is not None else StatRegistry()
         self._folded = self.stats.counter("gc.cache_pages_folded")
         self._flushed = self.stats.counter("gc.dirty_pages_flushed")
@@ -69,12 +62,6 @@ class GarbageCollector:
     # Dirty-page destaging
     # ------------------------------------------------------------------ #
 
-    @property
-    def dirty_ratio(self) -> float:
-        """Dirty pages as a fraction of cache capacity."""
-        dirty = len(self.cache.dirty_entries())
-        return dirty / self.cache.capacity_pages
-
     def flush_entry(self, entry: CacheEntry) -> TimeNs:
         """Write one dirty cache entry back to flash; returns cost in ns."""
         if not entry.dirty:
@@ -89,8 +76,8 @@ class GarbageCollector:
     def flush_dirty(self, limit: Optional[int] = None) -> TimeNs:
         """Destage dirty pages (all, or at most ``limit``); returns ns spent.
 
-        This models the periodic background write-back; its cost is charged
-        to ``gc.background_ns`` rather than to any foreground access.
+        The cost is charged to ``gc.background_ns`` rather than to any
+        foreground access.
         """
         cost = 0
         for count, entry in enumerate(self.cache.dirty_entries()):
@@ -102,22 +89,6 @@ class GarbageCollector:
                 len(self.ftl.mapping), context="dirty-page destage"
             )
         return cost
-
-    def maybe_flush(self) -> TimeNs:
-        """Destage when the dirty ratio exceeds the configured limit."""
-        if self.dirty_ratio >= self.dirty_ratio_limit:
-            return self.flush_dirty()
-        return 0
-
-    def collect(self) -> TimeNs:
-        """Run one foreground-independent GC pass; returns ns spent."""
-        cost = self.ftl.collect_garbage()
-        self._background_ns.add(cost)
-        return cost
-
-    @property
-    def background_ns(self) -> int:
-        return self._background_ns.value
 
     @property
     def retired_blocks(self) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.sim.stats import StatRegistry
 from repro.ssd.rrip import RRIPSet
-from repro.units import LPN, OffsetBytes
+from repro.units import LPN
 
 
 class LRUSet:
@@ -185,34 +185,6 @@ class SSDCache:
         self._entries[set_index][way] = None
         self._policies[set_index].reset_way(way)
         return entry
-
-    def write_bytes(self, lpn: LPN, offset: OffsetBytes, data: bytes) -> None:
-        """Update part of a cached page in place and mark it dirty."""
-        entry = self.peek(lpn)
-        if entry is None:
-            raise KeyError(f"lpn {lpn} is not cached")
-        entry.dirty = True
-        if entry.data is not None:
-            if offset < 0 or offset + len(data) > self.page_size:
-                raise ValueError(
-                    f"write [{offset}, {offset + len(data)}) outside page "
-                    f"of {self.page_size} bytes"
-                )
-            entry.data[offset : offset + len(data)] = data
-
-    def read_bytes(self, lpn: LPN, offset: OffsetBytes, size: int) -> Optional[bytes]:
-        """Read part of a cached page (None when payloads are not tracked)."""
-        entry = self.peek(lpn)
-        if entry is None:
-            raise KeyError(f"lpn {lpn} is not cached")
-        if entry.data is None:
-            return None
-        if offset < 0 or offset + size > self.page_size:
-            raise ValueError(
-                f"read [{offset}, {offset + size}) outside page "
-                f"of {self.page_size} bytes"
-            )
-        return bytes(entry.data[offset : offset + size])
 
     def clear(self) -> None:
         """Drop every entry without firing eviction hooks (power loss)."""

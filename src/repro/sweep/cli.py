@@ -10,15 +10,17 @@ Flags:
 * ``--json PATH`` — also emit the BENCH artifact (per-cell runtimes and
   headline metrics).
 
-A full (unfiltered) sweep rewrites EXPERIMENTS.md atomically with output
-byte-identical to the serial ``run_all`` path; a filtered sweep skips
-the document and just reports the cells it ran.
+A full (unfiltered) sweep rewrites EXPERIMENTS.md atomically, with the
+same bytes at any ``--jobs``; a filtered sweep skips the document and just
+reports the cells it ran.  A filter that matches no cell is a usage error
+(exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 from typing import Optional
 
 from repro.sweep.cache import DEFAULT_CACHE_DIR, SweepCache
@@ -79,6 +81,11 @@ def run(args: argparse.Namespace) -> int:
     from repro.sweep.registry import default_registry
 
     registry = default_registry()
+    try:
+        registry.select(args.filters)
+    except ValueError as error:
+        print(f"python -m repro sweep: error: {error}", file=sys.stderr)
+        return 2
     jobs: int = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     cache: Optional[SweepCache] = None if args.no_cache else SweepCache(args.cache_dir)
 

@@ -18,6 +18,9 @@ from typing import List, Mapping, Tuple, Union
 
 from repro.sweep.model import CellResult
 
+# EXPERIMENTS.md pins these bytes.  The serial command the header names has
+# been removed; ``python -m repro sweep --jobs 1 --no-cache`` is the serial
+# path now.  Reword the sentence when the document's prose next changes.
 HEADER = """# FlatFlash Reproduction — Experiment Results
 
 Generated by `python -m repro sweep` (parallel, content-addressed cache)
@@ -50,7 +53,7 @@ class Ref:
 
 Part = Union[str, Ref]
 
-#: The full document, in the order ``run_all`` has always emitted it.
+#: The full document, in order.
 DOCUMENT: Tuple[Part, ...] = (
     Ref("scorecard"),
     Ref("table2"),

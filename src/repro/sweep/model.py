@@ -24,10 +24,9 @@ class CellResult:
     """What one cell execution produced.
 
     ``sections`` are the markdown fragments this cell contributes to the
-    experiment document, in order, exactly as ``run_all`` historically
-    appended them (the document assembler joins all fragments with a
-    single newline).  Data-only cells (scorecard claims, Table 1 pairs)
-    leave it empty.
+    experiment document, in order (the document assembler joins all
+    fragments with a single newline).  Data-only cells (scorecard claims,
+    Table 1 pairs) leave it empty.
     """
 
     sections: List[str] = field(default_factory=list)
@@ -36,7 +35,7 @@ class CellResult:
 
 
 def markdown_block(text: str) -> str:
-    """Fence a rendered table for EXPERIMENTS.md (``run_all``'s _block)."""
+    """Fence a rendered table for EXPERIMENTS.md."""
     return "```\n" + text + "\n```\n"
 
 

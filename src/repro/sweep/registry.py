@@ -1,11 +1,11 @@
 """Central cell registry: every experiment as a declarative, runnable unit.
 
-``Cell(name, fn, params)`` replaces the ad-hoc ``run()`` calls that
-``run_all`` used to make: the function is a *top-level* callable (so it
-pickles by reference into pool workers), ``params`` are the keyword
-arguments the cache keys on, and ``deps`` name other cells whose results
-this cell consumes (the scheduler passes them as a ``deps`` mapping when
-the function declares that parameter).
+``Cell(name, fn, params)`` wraps one experiment ``run()`` call: the
+function is a *top-level* callable (so it pickles by reference into pool
+workers), ``params`` are the keyword arguments the cache keys on, and
+``deps`` name other cells whose results this cell consumes (the scheduler
+passes them as a ``deps`` mapping when the function declares that
+parameter).
 
 :func:`default_registry` builds the full paper sweep: every §5 figure and
 table, the ablations, the extensions, Table 1's ten benchmark pairs, and

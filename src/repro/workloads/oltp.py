@@ -50,39 +50,6 @@ TPCC = TransactionSpec(
     compute_ns=18_000,
 )
 
-# The five TPC-C transaction types with the standard mix percentages.
-# ``TPCC`` above is the traffic-weighted aggregate used by the headline
-# figures; the per-type specs drive the mixed-workload generator.
-TPCC_NEW_ORDER = TransactionSpec(
-    "TPCC-NewOrder", record_reads=12, record_writes=10,
-    log_bytes_min=700, log_bytes_max=1_424, compute_ns=20_000,
-)
-TPCC_PAYMENT = TransactionSpec(
-    "TPCC-Payment", record_reads=4, record_writes=4,
-    log_bytes_min=400, log_bytes_max=700, compute_ns=10_000,
-)
-TPCC_ORDER_STATUS = TransactionSpec(
-    "TPCC-OrderStatus", record_reads=12, record_writes=0,
-    log_bytes_min=64, log_bytes_max=128, compute_ns=8_000,
-)
-TPCC_DELIVERY = TransactionSpec(
-    "TPCC-Delivery", record_reads=12, record_writes=12,
-    log_bytes_min=600, log_bytes_max=1_000, compute_ns=25_000,
-)
-TPCC_STOCK_LEVEL = TransactionSpec(
-    "TPCC-StockLevel", record_reads=20, record_writes=0,
-    log_bytes_min=64, log_bytes_max=128, compute_ns=15_000,
-)
-
-#: TPC-C standard transaction mix: (spec, probability).
-TPCC_MIX = [
-    (TPCC_NEW_ORDER, 0.45),
-    (TPCC_PAYMENT, 0.43),
-    (TPCC_ORDER_STATUS, 0.04),
-    (TPCC_DELIVERY, 0.04),
-    (TPCC_STOCK_LEVEL, 0.04),
-]
-
 TPCB = TransactionSpec(
     name="TPCB",
     record_reads=3,
@@ -112,35 +79,6 @@ class Transaction:
     read_offsets: List[int]
     write_offsets: List[int]
     log_bytes: int
-
-
-def generate_mixed_transactions(
-    mix: List,
-    count: int,
-    table_bytes: int,
-    skew: float = 0.6,
-    rng: Optional[np.random.Generator] = None,
-) -> List["Transaction"]:
-    """Transactions drawn from a (spec, probability) mix, e.g. ``TPCC_MIX``.
-
-    Types are interleaved in mix proportion, so a run exercises the full
-    read-only/update spectrum the way a real TPC-C driver does.
-    """
-    if count <= 0:
-        raise ValueError(f"count must be > 0, got {count}")
-    if rng is None:
-        rng = np.random.default_rng(29)
-    weights = np.array([weight for _spec, weight in mix], dtype=np.float64)
-    if not np.isclose(weights.sum(), 1.0):
-        raise ValueError(f"mix weights must sum to 1, got {weights.sum()}")
-    choices = rng.choice(len(mix), size=count, p=weights)
-    transactions: List[Transaction] = []
-    for choice in choices:
-        spec = mix[int(choice)][0]
-        transactions.extend(
-            generate_transactions(spec, 1, table_bytes, skew=skew, rng=rng)
-        )
-    return transactions
 
 
 def generate_transactions(

@@ -1,4 +1,4 @@
-"""Tests for the host bridge: routing and persist-bit tagging."""
+"""Tests for the host bridge: the BAR window and the PLB."""
 
 import pytest
 
@@ -16,55 +16,6 @@ def bridge():
     )
 
 
-def test_routes_dram_addresses(bridge):
-    target, page, offset, persist = bridge.route(3 * 4_096 + 17)
-    assert target == "dram"
-    assert page == 3
-    assert offset == 17
-    assert not persist
-
-
-def test_routes_ssd_addresses(bridge):
-    addr = (1 << 40) + 5 * 4_096 + 100
-    target, page, offset, _persist = bridge.route(addr)
-    assert target == "ssd"
-    assert page == 5
-    assert offset == 100
-
-
-def test_unmapped_address_raises(bridge):
-    with pytest.raises(ValueError):
-        bridge.route(17 * 4_096)  # between DRAM top and BAR base
-
-
-def test_persist_bit_round_trip(bridge):
-    addr = (1 << 40) + 4_096
-    tagged = bridge.tag_persist(addr, True)
-    assert tagged != addr
-    untagged, persist = bridge.split_persist(tagged)
-    assert untagged == addr
-    assert persist
-
-
-def test_persist_bit_travels_through_route(bridge):
-    addr = bridge.tag_persist((1 << 40) + 4_096, True)
-    target, page, _offset, persist = bridge.route(addr)
-    assert target == "ssd"
-    assert page == 1
-    assert persist
-
-
-def test_untagged_address_not_persist(bridge):
-    _addr, persist = bridge.split_persist(123)
-    assert not persist
-
-
-def test_dram_addr_builder(bridge):
-    assert bridge.dram_addr(2, 10) == 2 * 4_096 + 10
-    with pytest.raises(ValueError):
-        bridge.dram_addr(99)
-
-
 def test_ssd_addr_builder(bridge):
     assert bridge.ssd_addr(3) == (1 << 40) + 3 * 4_096
     with pytest.raises(ValueError):
@@ -79,14 +30,6 @@ def test_bar_overlapping_dram_rejected():
             page_size=4_096,
             plb_entries=4,
         )
-
-
-def test_routing_counters(bridge):
-    bridge.route(0)
-    bridge.route((1 << 40))
-    counters = bridge.stats.counters()
-    assert counters["bridge.requests_to_dram"] == 1
-    assert counters["bridge.requests_to_ssd"] == 1
 
 
 def test_plb_attached(bridge):

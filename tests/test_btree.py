@@ -158,36 +158,3 @@ def test_btree_behaves_like_a_dict(pairs):
         assert tree.get(key) == value
     assert dict(tree.items()) == model
     assert [k for k, _ in tree.items()] == sorted(model)
-
-
-class TestYCSBE:
-    def test_runs_and_counts_ops(self):
-        tree = make_tree(max_keys=8, capacity_pages=256)
-        for key in range(500):
-            tree.insert(key, key)
-        stats = tree.run_ycsb_e(num_ops=120, num_records=500)
-        assert stats.count == 120
-        assert stats.mean > 0
-
-    def test_inserts_extend_the_tree(self):
-        tree = make_tree(max_keys=8, capacity_pages=256)
-        for key in range(200):
-            tree.insert(key, key)
-        before = len(tree)
-        tree.run_ycsb_e(num_ops=300, num_records=200, seed=7)
-        assert len(tree) > before
-
-    def test_validation(self):
-        tree = make_tree()
-        with pytest.raises(ValueError):
-            tree.run_ycsb_e(num_ops=0, num_records=10)
-        with pytest.raises(ValueError):
-            tree.run_ycsb_e(num_ops=5, num_records=10, max_scan_length=0)
-
-    def test_scan_heavy_latency_dominated_by_ranges(self):
-        """Scans touch many leaves: mean op latency far exceeds one load."""
-        tree = make_tree(max_keys=8, capacity_pages=256)
-        for key in range(400):
-            tree.insert(key, key)
-        stats = tree.run_ycsb_e(num_ops=100, num_records=400, max_scan_length=60)
-        assert stats.mean > tree.system.config.latency.dram_load_ns * 5

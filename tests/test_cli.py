@@ -35,11 +35,8 @@ def test_missing_command_rejected():
         main([])
 
 
-def test_all_writes_file(tmp_path, monkeypatch):
-    # Patch the generator so the CLI path is tested without the full run.
-    import repro.experiments.run_all as run_all
-
-    monkeypatch.setattr(run_all, "generate", lambda: "# stub results\n")
-    target = tmp_path / "out.md"
-    assert main(["all", str(target)]) == 0
-    assert target.read_text() == "# stub results\n"
+def test_faults_unknown_scenario_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["faults", "--smoke", "--only", "nosuch"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err

@@ -91,10 +91,3 @@ def test_promotion_config_paper_defaults():
 def test_promotion_ratio_ordering_checked():
     with pytest.raises(ValueError):
         PromotionConfig(lw_ratio=0.8, hi_ratio=0.5).validate()
-
-
-def test_scaled_copy_replaces_geometry():
-    config = FlatFlashConfig()
-    scaled = config.scaled(dram_pages=7)
-    assert scaled.geometry.dram_pages == 7
-    assert config.geometry.dram_pages != 7  # original untouched

@@ -67,28 +67,6 @@ def test_lru_within_set():
     assert not cache.contains(64)
 
 
-def test_flush_line_reports_dirtiness():
-    cache = make_cache()
-    cache.access(0, is_write=True)
-    assert cache.flush_line(0) is True
-    assert not cache.contains(0)
-    assert cache.flush_line(0) is False  # already gone
-
-
-def test_flush_range_counts_dirty_lines():
-    cache = make_cache(lines=16, ways=4)
-    cache.access(0, is_write=True)
-    cache.access(64, is_write=True)
-    cache.access(128, is_write=False)
-    assert cache.flush_range(0, 192) == 2
-
-
-def test_flush_range_bounds():
-    cache = make_cache()
-    with pytest.raises(ValueError):
-        cache.flush_range(0, 0)
-
-
 def test_hit_ratio():
     cache = make_cache()
     cache.access(0, is_write=False)

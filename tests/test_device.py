@@ -77,11 +77,6 @@ class TestMMIO:
         with pytest.raises(ValueError):
             device.mmio_write(page, 0, 8, b"too long for size")
 
-    def test_atomic_marks_durable(self, mapped):
-        device, page = mapped
-        device.mmio_atomic(page, 0, 8)
-        assert device.stats.counters()["ssd.durable_writes"] == 1
-
     def test_unmapped_host_page_raises(self, device):
         with pytest.raises(KeyError):
             device.mmio_read(12345, 0, 64)
@@ -110,7 +105,7 @@ class TestPromotionInterface:
 
     def test_write_page_returns_new_location(self, mapped):
         device, page = mapped
-        new_page, cost = device.write_page(0, b"\x07" * 4096)
+        new_page, cost = device.write_page_block(0, b"\x07" * 4096)
         assert new_page != page  # out-of-place
         assert cost > 0
         assert device.resolve_lpn(page) == 0  # old address still resolves
@@ -119,14 +114,14 @@ class TestPromotionInterface:
 class TestRemap:
     def test_rewrite_creates_remap_entry(self, mapped):
         device, old_page = mapped
-        device.write_page(0, None)
+        device.write_page_block(0, None)
         updates, cost = device.drain_remaps()
         assert old_page in updates
         assert cost > 0
 
     def test_drain_clears(self, mapped):
         device, _page = mapped
-        device.write_page(0, None)
+        device.write_page_block(0, None)
         device.drain_remaps()
         updates, cost = device.drain_remaps()
         assert updates == {}
@@ -134,8 +129,8 @@ class TestRemap:
 
     def test_old_address_resolves_through_chain(self, mapped):
         device, original = mapped
-        device.write_page(0, None)
-        device.write_page(0, None)
+        device.write_page_block(0, None)
+        device.write_page_block(0, None)
         assert device.resolve_lpn(original) == 0
 
 
@@ -157,6 +152,21 @@ class TestBlockInterface:
         device.mmio_read(page, 0, 64)
         device.write_page_block(0, None)
         assert not device.cache.contains(0)
+
+    @pytest.mark.parametrize("host_merged_ftl", [True, False])
+    def test_block_write_returns_current_page(self, host_merged_ftl):
+        """The returned page is the lpn's mapping, also on a write that
+        runs GC before it programs."""
+        device = ByteAddressableSSD(small_config(), host_merged_ftl=host_merged_ftl)
+        for lpn in range(4):
+            device.map_page(lpn)
+        gc_writes = 0
+        while gc_writes < 3:
+            for lpn in range(4):
+                before = device.stats.counters()["ftl.gc_runs"]
+                page, _cost = device.write_page_block(lpn, None)
+                assert page == device.host_page_of(lpn)
+                gc_writes += device.stats.counters()["ftl.gc_runs"] - before
 
 
 class TestPersistenceDomain:
@@ -217,7 +227,7 @@ class TestSpanValidation:
             pytest.param(0, 0, id="zero-size"),
         ],
     )
-    @pytest.mark.parametrize("op", ["mmio_read", "mmio_write", "mmio_atomic"])
+    @pytest.mark.parametrize("op", ["mmio_read", "mmio_write"])
     def test_span_outside_one_page_rejected(self, mapped, op, offset, size):
         """Every byte-interface op applies the one span rule before it
         touches or charges anything."""

@@ -1,8 +1,8 @@
 """Device-level property tests: the SSD is a correct store under churn.
 
 These drive the ByteAddressableSSD directly (below the memory systems)
-with arbitrary interleavings of MMIO reads/writes, page writes, TRIMs and
-GC, checking byte-exact contents against a dict model.
+with arbitrary interleavings of MMIO reads/writes, page writes, destages
+and GC, checking byte-exact contents against a dict model.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ def make_device(cache_pages=8):
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["mmio_write", "mmio_read", "page_write", "trim", "flush", "gc"]),
+        st.sampled_from(["mmio_write", "mmio_read", "page_write", "flush", "gc"]),
         st.integers(0, LPNS - 1),
         st.integers(0, PAGE - 16),
         st.integers(0, 255),
@@ -43,23 +43,19 @@ def test_device_matches_dict_model(ops):
     for lpn in range(LPNS):
         device.map_page(lpn)
         pages[lpn] = bytearray(PAGE)
-    model_mapped = set(range(LPNS))
     for op, lpn, offset, value in ops:
-        host_page = device.host_page_of(lpn) if lpn in model_mapped else None
-        if op == "mmio_write" and host_page is not None:
+        host_page = device.host_page_of(lpn)
+        if op == "mmio_write":
             payload = bytes([value]) * 16
             device.mmio_write(host_page, offset, 16, payload)
             pages[lpn][offset : offset + 16] = payload
-        elif op == "mmio_read" and host_page is not None:
+        elif op == "mmio_read":
             data, _cost = device.mmio_read(host_page, offset, 16)
             assert data == bytes(pages[lpn][offset : offset + 16])
-        elif op == "page_write" and host_page is not None:
+        elif op == "page_write":
             payload = bytes([value]) * PAGE
-            device.write_page(lpn, payload)
+            device.write_page_block(lpn, payload)
             pages[lpn][:] = payload
-        elif op == "trim" and host_page is not None:
-            device.trim(lpn)
-            model_mapped.discard(lpn)
         elif op == "flush":
             device.gc.flush_dirty()
         elif op == "gc" and device.ftl.select_victim() is not None:
@@ -67,8 +63,8 @@ def test_device_matches_dict_model(ops):
                 device.ftl.collect_garbage()
             except Exception:  # noqa: BLE001 - OutOfSpace acceptable here
                 pass
-    # Final check: every still-mapped page reads back its model bytes.
-    for lpn in model_mapped:
+    # Final check: every page reads back its model bytes.
+    for lpn in range(LPNS):
         host_page = device.host_page_of(lpn)
         data, _cost = device.mmio_read(host_page, 0, PAGE)
         assert data == bytes(pages[lpn]), f"lpn {lpn} diverged"
@@ -108,7 +104,7 @@ def test_flash_invariants_after_random_workload(seed):
         if action < 0.6:
             device.mmio_write(device.host_page_of(lpn), 0, 8)
         elif action < 0.8:
-            device.write_page(lpn, None)
+            device.write_page_block(lpn, None)
         else:
             device.gc.flush_dirty(limit=2)
     ftl = device.ftl

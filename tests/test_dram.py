@@ -5,8 +5,8 @@ import pytest
 from repro.host.dram import HostDRAM
 
 
-def make_dram(frames=4, page_size=64, policy="lru", track_data=True):
-    return HostDRAM(frames, page_size, track_data=track_data, policy=policy)
+def make_dram(frames=4, page_size=64, track_data=True):
+    return HostDRAM(frames, page_size, track_data=track_data)
 
 
 def test_allocate_assigns_frames():
@@ -61,18 +61,9 @@ def test_free_clears_state():
     assert frame.data is None
 
 
-def test_lru_victim_is_least_recent():
-    dram = make_dram(frames=3)
-    a = dram.allocate(0)
-    b = dram.allocate(1)
-    dram.allocate(2)
-    dram.touch(a)  # order now: b, c, a
-    assert dram.lru_victim() is b
-
-
-def test_lru_victim_without_allocations_raises():
+def test_victim_without_allocations_raises():
     with pytest.raises(RuntimeError):
-        make_dram().lru_victim()
+        make_dram().victim()
 
 
 def test_iter_lru_order():
@@ -86,31 +77,17 @@ def test_iter_lru_order():
 
 
 def test_clock_victim_skips_referenced():
-    dram = make_dram(frames=3, policy="clock")
+    dram = make_dram(frames=3)
     a = dram.allocate(0)
     b = dram.allocate(1)
     c = dram.allocate(2)
     # allocate() touches, so all referenced; first sweep clears a, b, c and
     # wraps; re-touch b so only b survives the second sweep.
-    victim1 = dram.clock_victim()
+    victim1 = dram.victim()
     assert victim1 in (a, b, c)
     dram.touch(b)
-    victim2 = dram.clock_victim()
+    victim2 = dram.victim()
     assert victim2 is not b
-
-
-def test_victim_dispatches_on_policy():
-    lru = make_dram(policy="lru")
-    lru.allocate(0)
-    assert lru.victim().vpn == 0
-    clock = make_dram(policy="clock")
-    clock.allocate(0)
-    assert clock.victim().vpn == 0
-
-
-def test_invalid_policy_rejected():
-    with pytest.raises(ValueError):
-        make_dram(policy="random")
 
 
 def test_read_write_bytes():

@@ -16,10 +16,8 @@ from repro.workloads.oltp import (
     TATP,
     TPCB,
     TPCC,
-    TPCC_MIX,
     WORKLOADS,
     TransactionSpec,
-    generate_mixed_transactions,
     generate_transactions,
 )
 
@@ -139,27 +137,15 @@ def per_transaction_draw(spec, count, table_bytes, skew, rng):
     return drawn
 
 
-def per_transaction_mix(mix, count, table_bytes, skew, rng):
-    weights = np.array([weight for _spec, weight in mix], dtype=np.float64)
-    drawn = []
-    for choice in rng.choice(len(mix), size=count, p=weights):
-        drawn.extend(per_transaction_draw(mix[int(choice)][0], 1, table_bytes, skew, rng))
-    return drawn
-
-
 @pytest.mark.parametrize("seed", [17, 18, 19])
-@pytest.mark.parametrize("workload", ["TPCC", "TPCB", "TATP", "TPCC_MIX"])
+@pytest.mark.parametrize("workload", ["TPCC", "TPCB", "TATP"])
 def test_transaction_draw_matches_per_transaction_loop(workload, seed):
     table_bytes = 256 * 4_096
     fast_rng = np.random.default_rng(seed)
     reference_rng = np.random.default_rng(seed)
-    if workload == "TPCC_MIX":
-        drawn = generate_mixed_transactions(TPCC_MIX, 300, table_bytes, rng=fast_rng)
-        expected = per_transaction_mix(TPCC_MIX, 300, table_bytes, 0.6, reference_rng)
-    else:
-        spec = WORKLOADS[workload]
-        drawn = generate_transactions(spec, 300, table_bytes, rng=fast_rng)
-        expected = per_transaction_draw(spec, 300, table_bytes, 0.6, reference_rng)
+    spec = WORKLOADS[workload]
+    drawn = generate_transactions(spec, 300, table_bytes, rng=fast_rng)
+    expected = per_transaction_draw(spec, 300, table_bytes, 0.6, reference_rng)
     assert [
         (tx.spec.name, tx.read_offsets, tx.write_offsets, tx.log_bytes) for tx in drawn
     ] == expected

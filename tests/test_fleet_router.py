@@ -77,20 +77,17 @@ def test_router_stays_bijective_under_placement(policy_name, script):
         max_size=40,
     ),
 )
-def test_router_round_trips_under_remap_and_remove(script, moves):
+def test_router_round_trips_under_remap(script, moves):
     router = ShardRouter(make_policy("striped"), NUM_DEVICES)
     model = {}
     for vpn, device, local in script:
         if vpn not in model and (device, local) not in model.values():
             router.place(vpn, device, local)
             model[vpn] = (device, local)
-    for index, (vpn, device, local) in enumerate(moves):
+    for vpn, device, local in moves:
         if vpn in model and (device, local) not in model.values():
-            if index % 3 == 2:
-                assert router.remove(vpn) == model.pop(vpn)
-            else:
-                router.remap(vpn, device, local)
-                model[vpn] = (device, local)
+            router.remap(vpn, device, local)
+            model[vpn] = (device, local)
         _assert_bijective(router, model)
     _assert_bijective(router, model)
 

@@ -109,28 +109,6 @@ def test_gc_fires_relocate_hooks():
         assert old != new
 
 
-def test_write_amplification_starts_at_one():
-    _cls, flash, ftl = make_ftl()
-    ftl.write(0, None)
-    assert ftl.write_amplification == 1.0
-
-
-def test_write_amplification_grows_with_gc():
-    _cls, flash, ftl = make_ftl(blocks=6, pages=4, overprovision=0.3)
-    # Cold data interleaved with hot churn: victim blocks carry live pages
-    # that GC must relocate, which is what drives amplification above 1.
-    cold = list(range(8, 14))
-    hot = list(range(3))
-    for index, lpn in enumerate(cold):
-        ftl.write(lpn, None)
-        for _ in range(3):
-            ftl.write(hot[index % len(hot)], None)
-    for _ in range(20):
-        for lpn in hot:
-            ftl.write(lpn, None)
-    assert ftl.write_amplification > 1.0
-
-
 def test_out_of_space_when_capacity_exhausted():
     _cls, flash, ftl = make_ftl(blocks=4, pages=4, overprovision=0.0)
     with pytest.raises(OutOfSpaceError):
@@ -170,6 +148,20 @@ def test_select_victim_prefers_most_invalid():
         ftl.write(lpn, None)
     victim = ftl.select_victim()
     assert victim == 0
+
+
+def test_victim_tie_break_prefers_less_worn_block():
+    _cls, flash, ftl = make_ftl(blocks=6, pages=2)
+    # Two fully-invalid blocks with different erase counts.
+    ftl.write(0, None)
+    ftl.write(1, None)  # block 0 full
+    ftl.write(2, None)
+    ftl.write(3, None)  # block 1 full
+    for lpn in range(4):
+        ftl.write(lpn, None)  # invalidate both blocks
+    flash.erase_counts[0] = 5  # pretend block 0 is worn
+    victim = ftl.select_victim()
+    assert victim == 1
 
 
 @settings(deadline=None, max_examples=25)

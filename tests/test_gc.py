@@ -1,7 +1,5 @@
 """Tests for the read-modify-write garbage collector with cache folding."""
 
-import pytest
-
 from repro.config import LatencyConfig
 from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import PageFTL
@@ -56,25 +54,6 @@ def test_flush_dirty_with_limit():
     assert len(cache.dirty_entries()) == 1
 
 
-def test_dirty_ratio():
-    flash, ftl, cache, gc = make_stack(cache_pages=4)
-    ftl.write(0, None)
-    cache.insert(0, None, dirty=True)
-    assert gc.dirty_ratio == pytest.approx(0.25)
-
-
-def test_maybe_flush_respects_limit():
-    flash, ftl, cache, gc = make_stack(cache_pages=4)
-    gc.dirty_ratio_limit = 0.5
-    ftl.write(0, None)
-    cache.insert(0, None, dirty=True)
-    assert gc.maybe_flush() == 0  # 25% dirty < 50% limit
-    ftl.write(1, None)
-    cache.insert(1, None, dirty=True)
-    assert gc.maybe_flush() > 0
-    assert not cache.dirty_entries()
-
-
 def test_gc_folds_dirty_cache_pages_during_relocation():
     flash, ftl, cache, gc = make_stack(blocks=8, pages=4)
     # Block 0: lpn 0 live, lpns 1-3 invalidated by rewrites.
@@ -83,7 +62,7 @@ def test_gc_folds_dirty_cache_pages_during_relocation():
     for lpn in range(1, 4):
         ftl.write(lpn, b"\x11" * 64)
     cache.insert(0, b"\xee" * 64, dirty=True)
-    gc.collect()
+    ftl.collect_garbage()
     # The relocated flash copy carries the cache's newer bytes and the
     # cache entry is now clean.
     _ppn, data, _ = ftl.read(0)
@@ -97,10 +76,4 @@ def test_background_time_accumulates():
     ftl.write(0, None)
     cache.insert(0, None, dirty=True)
     gc.flush_dirty()
-    assert gc.background_ns > 0
-
-
-def test_invalid_dirty_ratio_limit_rejected():
-    flash, ftl, cache, _gc = make_stack()
-    with pytest.raises(ValueError):
-        GarbageCollector(flash, ftl, cache, dirty_ratio_limit=0.0)
+    assert gc.stats.counters()["gc.background_ns"] > 0

@@ -123,66 +123,10 @@ def test_engine_maps_three_regions(small_graph):
 
 def test_results_identical_across_systems(small_graph):
     flat = make_engine(small_graph, FlatFlash).pagerank(iterations=2)
-    dram = GraphEngine(
-        DRAMOnly(small_config(track_data=False).scaled(dram_pages=4_096)), small_graph
-    ).pagerank(iterations=2)
+    config = small_config(track_data=False)
+    config.geometry.dram_pages = 4_096
+    dram = GraphEngine(DRAMOnly(config.validate()), small_graph).pagerank(iterations=2)
     assert np.allclose(flat, dram)
-
-
-class TestShardedPageRank:
-    def test_results_match_unsharded(self, small_graph=None):
-        graph = power_law_graph(300, avg_degree=6, seed=21)
-        plain = make_engine(graph).pagerank(iterations=4, charge_accesses=False)
-        sharded = make_engine(graph).pagerank_sharded(
-            iterations=4, num_shards=5, charge_accesses=False
-        )
-        assert np.allclose(plain, sharded)
-
-    def test_single_shard_equals_unsharded(self):
-        graph = power_law_graph(200, avg_degree=5, seed=22)
-        plain = make_engine(graph).pagerank(iterations=2, charge_accesses=False)
-        sharded = make_engine(graph).pagerank_sharded(
-            iterations=2, num_shards=1, charge_accesses=False
-        )
-        assert np.allclose(plain, sharded)
-
-    def test_shard_bounds_validated(self):
-        graph = power_law_graph(100, avg_degree=4, seed=23)
-        engine = make_engine(graph)
-        with pytest.raises(ValueError):
-            engine.pagerank_sharded(num_shards=0)
-        with pytest.raises(ValueError):
-            engine.pagerank_sharded(iterations=0)
-
-    def test_sharded_charges_sequential_streams(self):
-        graph = power_law_graph(300, avg_degree=6, seed=24)
-        engine = make_engine(graph)
-        engine.pagerank_sharded(iterations=1, num_shards=4)
-        names = [region.name for region in engine.system.regions]
-        assert any("shards" in name for name in names)
-        assert engine.system.stats.counters()["mem.loads"] > 0
-
-    def test_sharded_keeps_window_writes_local(self):
-        """The write working set per shard pass is the shard interval, so
-        with shards sized under DRAM the paging baselines stop thrashing."""
-        from repro import UnifiedMMap
-
-        # Vertex state (4 pages) exceeds DRAM (2 frames): the unsharded
-        # engine's scattered writes thrash, the sharded windows do not.
-        graph = power_law_graph(2_000, avg_degree=3, seed=25)
-
-        def run(shards):
-            config = small_config(track_data=False)
-            config.geometry.dram_pages = 2
-            config.geometry.ssd_pages = 8_192
-            engine = GraphEngine(UnifiedMMap(config.validate()), graph)
-            if shards is None:
-                engine.pagerank(iterations=1)
-            else:
-                engine.pagerank_sharded(iterations=1, num_shards=shards)
-            return engine.system.page_movements
-
-        assert run(4) < run(None) / 5
 
 
 def per_vertex_iteration_trace(engine, target_writes):

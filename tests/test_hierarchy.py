@@ -224,7 +224,7 @@ class TestRemapPropagation:
         original = pte.ssd_page
         # Force a rewrite of the backing page (eviction write-back path).
         system.store(region.addr(0), 8, b"version1")
-        system.ssd.write_page(region.base_vpn, b"\x01" * 4_096)
+        system.ssd.write_page_block(region.base_vpn, b"\x01" * 4_096)
         system.load(region.addr(8), 8)  # drains remaps
         refreshed = system.page_table.lookup(region.base_vpn)
         assert refreshed.ssd_page != original
@@ -235,7 +235,7 @@ class TestRemapPropagation:
         system = make_system()
         region = system.mmap(8)
         system.store(region.addr(0), 8, b"original")
-        system.ssd.write_page(region.base_vpn, b"\x05" * 4_096)
+        system.ssd.write_page_block(region.base_vpn, b"\x05" * 4_096)
         # Old ssd_page in the PTE resolves through the device remap table.
         assert system.load(region.addr(0), 8).data == b"\x05" * 8
 

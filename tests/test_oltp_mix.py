@@ -1,68 +1,11 @@
-"""Tests for the TPC-C transaction-type mix and multi-channel flash."""
+"""Tests for multi-channel flash."""
 
-import numpy as np
 import pytest
 
 from repro import FlatFlash, small_config
 from repro.apps.database import MiniDB
 from repro.config import GeometryConfig, LatencyConfig
 from repro.ssd.flash import FlashArray
-from repro.workloads.oltp import (
-    TPCC_DELIVERY,
-    TPCC_MIX,
-    TPCC_NEW_ORDER,
-    TPCC_ORDER_STATUS,
-    TPCC_PAYMENT,
-    TPCC_STOCK_LEVEL,
-    generate_mixed_transactions,
-)
-
-
-class TestTPCCMix:
-    def test_mix_weights_sum_to_one(self):
-        assert sum(weight for _spec, weight in TPCC_MIX) == pytest.approx(1.0)
-
-    def test_all_specs_valid(self):
-        for spec, _weight in TPCC_MIX:
-            spec.validate()
-
-    def test_read_only_types_have_no_writes(self):
-        assert TPCC_ORDER_STATUS.record_writes == 0
-        assert TPCC_STOCK_LEVEL.record_writes == 0
-
-    def test_new_order_logs_most(self):
-        assert TPCC_NEW_ORDER.log_bytes_max > TPCC_PAYMENT.log_bytes_max
-        assert TPCC_NEW_ORDER.log_bytes_max > TPCC_ORDER_STATUS.log_bytes_max
-
-    def test_generate_mixed_respects_proportions(self):
-        txs = generate_mixed_transactions(
-            TPCC_MIX, 3_000, table_bytes=64 * 1_024, rng=np.random.default_rng(1)
-        )
-        names = [tx.spec.name for tx in txs]
-        new_order_share = names.count("TPCC-NewOrder") / len(names)
-        payment_share = names.count("TPCC-Payment") / len(names)
-        assert new_order_share == pytest.approx(0.45, abs=0.04)
-        assert payment_share == pytest.approx(0.43, abs=0.04)
-
-    def test_generate_mixed_validation(self):
-        with pytest.raises(ValueError):
-            generate_mixed_transactions(TPCC_MIX, 0, table_bytes=1_024)
-        bad_mix = [(TPCC_PAYMENT, 0.4)]
-        with pytest.raises(ValueError):
-            generate_mixed_transactions(bad_mix, 5, table_bytes=1_024)
-
-    def test_mixed_transactions_run_on_minidb(self):
-        system = FlatFlash(small_config(track_data=False))
-        db = MiniDB(system, table_pages=32, log_pages=8)
-        txs = generate_mixed_transactions(
-            TPCC_MIX, 60, table_bytes=db.table.size, rng=np.random.default_rng(2)
-        )
-        result = db.run(txs, num_threads=4)
-        assert result.transactions == 60
-        assert result.throughput_tps > 0
-
-    def test_delivery_is_heaviest(self):
-        assert TPCC_DELIVERY.compute_ns >= TPCC_NEW_ORDER.compute_ns
 
 
 class TestFlashChannels:

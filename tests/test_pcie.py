@@ -60,12 +60,6 @@ class TestPCIeLink:
         link.mmio_read_cost(64)
         assert link.bytes_from_device == 128
 
-    def test_atomic_counts_both_directions(self, link):
-        cost = link.mmio_atomic_cost(8)
-        assert cost == 4_800  # round trip, like a read
-        assert link.bytes_to_device == 8
-        assert link.bytes_from_device == 8
-
     def test_verify_read_cost(self, link):
         assert link.verify_read_cost() == 4_800
 

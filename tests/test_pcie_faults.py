@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import LatencyConfig, small_config
 from repro.core.hierarchy import FlatFlash
-from repro.core.persistence import create_pmem_region
 from repro.faults.plan import FaultConfig, FaultInjector
 from repro.host.bridge import MMIORetryPolicy
 from repro.interconnect.pcie import PCIeFaultError, PCIeLink
@@ -177,15 +176,6 @@ def test_degraded_page_is_not_promoted():
     for _ in range(64):  # plenty of touches to trip any promotion policy
         system.load_u64(region.addr(0))
     assert system.promotions == 0
-
-
-def test_atomic_store_retries_through_faults():
-    faults = FaultConfig(forced={"pcie.mmio_atomic.timeout": (0,)})
-    system = make_system(faults)
-    pmem = create_pmem_region(system, 1, name="atomic")
-    cost = pmem.atomic_store(0, 8)
-    assert cost > LatencyConfig().mmio_timeout_ns
-    assert system.stats.counters()["bridge.mmio_retries"] == 1
 
 
 def test_corrupt_posted_write_never_lands_partially():

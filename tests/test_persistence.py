@@ -65,13 +65,6 @@ class TestDurabilityProtocol:
         page_cost = latency.flash_program_page_ns + latency.dma_page_transfer_ns
         assert byte_cost < page_cost
 
-    def test_atomic_store_durable_without_fence(self, system, pmem):
-        cost = pmem.atomic_store(0, 8)
-        assert cost >= system.config.latency.mmio_read_cacheline_ns
-        system.ssd.crash()
-        # No explicit commit, yet the atomic survived (non-posted).
-        assert pmem.recover_bytes(0, 8) is not None
-
     def test_clock_advances_for_persist_ops(self, system, pmem):
         before = system.clock.now
         pmem.durable_store(0, 8)

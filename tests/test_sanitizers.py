@@ -12,8 +12,6 @@ import pytest
 from repro import FlatFlash, TraditionalStack, create_pmem_region, small_config
 from repro.config import LatencyConfig
 from repro.engine import AccessTrace, fused_blockers, replay
-from repro.host.bridge import HostBridge
-from repro.interconnect.pcie import BarWindow
 from repro.sim import sanitizers
 from repro.sim.clock import SimClock
 from repro.sim.des import (
@@ -407,15 +405,16 @@ def test_fence_with_unordered_link_writes_raises():
 
 
 def test_persist_routed_to_dram_names_frame():
-    bridge = HostBridge(
-        dram_bytes=1 << 20,
-        ssd_bar=BarWindow(base=1 << 30, size=1 << 20),
-        page_size=4096,
-        plb_entries=8,
-        persistence_sanitizer=PersistenceSanitizer(),
-    )
-    tagged = bridge.tag_persist(5 * 4096, persist=True)
-    with pytest.raises(PersistenceSanitizerError, match="DRAM frame 5"):
-        bridge.route(tagged)
-    # The same address without the P bit routes fine.
-    assert bridge.route(5 * 4096)[0] == "dram"
+    """Pointing a persist page's PTE at a DRAM frame names the frame."""
+    system = FlatFlash(small_config())
+    persistent = system.mmap(1, persist=True, name="pmem")
+    volatile = system.mmap(1, name="heap")
+    frame = system.dram.allocate(persistent.base_vpn)
+    ssd_page = system.page_table.lookup(persistent.base_vpn).ssd_page
+    with pytest.raises(PersistenceSanitizerError, match=f"DRAM frame {frame.index}"):
+        system._point_pte_at(frame, ssd_page)
+    # A page without the P bit is pointed at its frame fine.
+    frame = system.dram.allocate(volatile.base_vpn)
+    ssd_page = system.page_table.lookup(volatile.base_vpn).ssd_page
+    system._point_pte_at(frame, ssd_page)
+    assert system.page_table.lookup(volatile.base_vpn).frame_index == frame.index

@@ -102,28 +102,6 @@ def test_invalidate_removes_entry():
     assert cache.invalidate(3) is None
 
 
-def test_write_bytes_marks_dirty_and_updates():
-    cache = make_cache()
-    cache.insert(1, b"\x00" * 64)
-    cache.write_bytes(1, 8, b"\xff\xff")
-    entry = cache.peek(1)
-    assert entry.dirty
-    assert cache.read_bytes(1, 8, 2) == b"\xff\xff"
-
-
-def test_write_bytes_bounds_checked():
-    cache = make_cache()
-    cache.insert(1, None)
-    with pytest.raises(ValueError):
-        cache.write_bytes(1, 60, b"\x00" * 8)
-
-
-def test_write_bytes_missing_page_raises():
-    cache = make_cache()
-    with pytest.raises(KeyError):
-        cache.write_bytes(1, 0, b"\x00")
-
-
 def test_dirty_entries_listing():
     cache = make_cache()
     cache.insert(1, None, dirty=True)
@@ -152,7 +130,7 @@ def test_wrong_page_size_rejected():
 def test_no_data_mode():
     cache = make_cache(track_data=False)
     cache.insert(0, None)
-    assert cache.read_bytes(0, 0, 8) is None
+    assert cache.peek(0).data is None
 
 
 def test_lru_policy_evicts_least_recent():
@@ -222,7 +200,9 @@ def test_cached_data_matches_model(ops):
     for lpn, value in ops:
         payload = bytes([value]) * 16
         if cache.contains(lpn):
-            cache.write_bytes(lpn, 0, payload)
+            entry = cache.peek(lpn)
+            entry.data[:] = payload
+            entry.dirty = True
         else:
             cache.insert(lpn, payload, dirty=True)
         model[lpn] = payload

@@ -18,7 +18,6 @@ import importlib
 
 import pytest
 
-from repro.experiments import run_all
 from repro.sim import sanitizers
 from repro.sweep.document import HEADER, assemble, document_cells
 from repro.sweep.engine import run_sweep
@@ -77,13 +76,6 @@ def test_pool_runs_report_real_timings(pool_report):
     for run in pool_report.runs:
         assert not run.cached
         assert run.seconds > 0.0
-
-
-def test_generate_matches_assembled_document(serial_report, monkeypatch):
-    """``run_all.generate`` is a thin client of the same sweep + assembly."""
-    # generate() imports run_sweep lazily, so patch it at the engine.
-    monkeypatch.setattr("repro.sweep.engine.run_sweep", lambda jobs, cache: serial_report)
-    assert run_all.generate() == assemble(serial_report.results)
 
 
 def test_document_needs_every_cell(serial_report):

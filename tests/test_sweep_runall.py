@@ -1,11 +1,11 @@
 """Atomic document writes and the ``python -m repro sweep`` CLI surface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import main
-from repro.experiments import run_all
 from repro.sweep.document import write_document
 
 
@@ -30,37 +30,44 @@ class TestAtomicWrites:
         assert target.read_text() == "original\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_run_all_main_is_atomic(self, tmp_path, monkeypatch, capsys):
+    def test_sweep_is_atomic(self, tmp_path, monkeypatch):
         """An interrupted regeneration can't truncate EXPERIMENTS.md."""
         target = tmp_path / "EXPERIMENTS.md"
         target.write_text("previous good content\n")
-        def exploding():
+
+        def exploding(**_kwargs):
             raise RuntimeError("experiment blew up")
 
-        monkeypatch.setattr(run_all, "generate", exploding)
-        monkeypatch.setattr("sys.argv", ["run_all", str(target)])
+        monkeypatch.setattr("repro.sweep.engine.run_sweep", exploding)
         with pytest.raises(RuntimeError):
-            run_all.main()
+            main(["sweep", str(target), "--jobs", "1", "--no-cache"])
         assert target.read_text() == "previous good content\n"
 
-    def test_run_all_main_writes_output(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _stub_full_sweep(monkeypatch, content):
+        """A sweep that yields ``content`` as the whole document."""
+        report = SimpleNamespace(runs=[], results={}, total_seconds=0.0)
+        monkeypatch.setattr("repro.sweep.engine.run_sweep", lambda **_kwargs: report)
+        monkeypatch.setattr("repro.sweep.document.document_cells", lambda: [])
+        monkeypatch.setattr("repro.sweep.document.assemble", lambda results: content)
+
+    def test_sweep_writes_output(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "EXPERIMENTS.md"
-        monkeypatch.setattr(run_all, "generate", lambda: "# stub\n")
-        monkeypatch.setattr("sys.argv", ["run_all", str(target)])
-        run_all.main()
+        self._stub_full_sweep(monkeypatch, "# stub\n")
+        main(["sweep", str(target), "--jobs", "1", "--no-cache"])
         assert target.read_text() == "# stub\n"
         assert "wrote" in capsys.readouterr().out
 
-    def test_cli_all_is_atomic(self, tmp_path, monkeypatch):
+    def test_cli_sweep_is_atomic(self, tmp_path, monkeypatch):
         target = tmp_path / "out.md"
         target.write_text("old\n")
-        monkeypatch.setattr(run_all, "generate", lambda: "new\n")
+        self._stub_full_sweep(monkeypatch, "new\n")
         monkeypatch.setattr(
             "repro.sweep.document.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("boom")),
         )
         with pytest.raises(OSError):
-            main(["all", str(target)])
+            main(["sweep", str(target), "--jobs", "1", "--no-cache"])
         assert target.read_text() == "old\n"
 
 
@@ -115,7 +122,10 @@ class TestSweepCLI:
         with pytest.raises(SystemExit):
             main(["sweep", "--jobs", "0"])
 
-    def test_unknown_filter_errors(self, tmp_path, monkeypatch):
+    def test_unknown_filter_errors(self, tmp_path, monkeypatch, capsys):
+        """A filter that matches no cell is a one-line usage error."""
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="no cells match"):
-            main(["sweep", "--filter", "nonexistent-*", "--no-cache"])
+        assert main(["sweep", "--filter", "nonexistent-*", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no cells match" in err
