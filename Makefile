@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint race faults bench experiments sweep examples all clean
+.PHONY: install test lint race faults experiments sweep examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -28,9 +28,6 @@ race:
 faults:
 	$(PYTHON) -m repro faults --smoke
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # Serial, uncached regeneration of EXPERIMENTS.md.
 experiments:
 	$(PYTHON) -m repro sweep --jobs 1 --no-cache
@@ -45,7 +42,7 @@ examples:
 		$(PYTHON) $$script || exit 1; \
 	done
 
-all: lint test bench experiments
+all: lint test experiments
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

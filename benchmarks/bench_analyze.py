@@ -1,22 +1,18 @@
 """Per-analyzer wall-clock timing for the static-analysis family.
 
-Two entry points share one measurement core:
-
-* Under pytest-benchmark (``pytest benchmarks/bench_analyze.py
-  --benchmark-only``) each analyzer is one benchmark case, so analysis
-  cost shows up in the same report as the paper-shape experiments.
-* As a script (``python benchmarks/bench_analyze.py --output
-  BENCH_analyze.json``) it times every analyzer once and writes a small
-  JSON document — the artifact CI uploads so analyzer-cost regressions
-  are visible per commit.  ``--check BASELINE`` additionally compares
-  the fresh timings against a committed baseline document and fails
-  (exit 1) when any analyzer has slowed by more than 2x, with a small
-  absolute noise floor so sub-50 ms analyzers can't trip the guard on
-  scheduler jitter.
+``python benchmarks/bench_analyze.py --output BENCH_analyze.json`` times
+every analyzer once and writes a small JSON document — the artifact CI
+uploads so analyzer-cost regressions are visible per commit.  ``--check
+BASELINE`` additionally compares the fresh timings against a committed
+baseline document and fails (exit 1) when any analyzer has slowed by more
+than 2x, with a small absolute noise floor so sub-50 ms analyzers can't
+trip the guard on scheduler jitter.
 
 Each entry of :data:`repro.analysis.analyze.TOOLS` (simlint, simflow) is
 timed on its own over ``src/repro``, reading each file as the front end
-does.
+does.  Whether ``src/`` is clean is not this script's question: CI's
+``python -m repro.analysis.analyze --check-suppressions src/`` step exits
+1 on any finding.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
-
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -66,23 +60,6 @@ def time_analyzers() -> Dict[str, Dict[str, float]]:
         elapsed = time.perf_counter() - start
         timings[name] = {"seconds": round(elapsed, 4), "result": result}
     return timings
-
-
-# --------------------------------------------------------------------------
-# pytest-benchmark cases
-# --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "analyze", [pytest.param(analyze, id=name) for name, analyze in TOOLS]
-)
-def test_bench_analyzer(once, analyze):
-    assert once(_run_tool, analyze) == 0
-
-
-# --------------------------------------------------------------------------
-# Script mode: write BENCH_analyze.json for the CI artifact
-# --------------------------------------------------------------------------
 
 
 def check_regressions(

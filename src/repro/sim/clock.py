@@ -12,10 +12,6 @@ from typing import Optional
 
 from repro.sim.sanitizers import ClockSanitizer
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
-NS_PER_SEC = 1_000_000_000
-
 
 class PowerLossTriggered(Exception):
     """Raised by the clock when simulated time reaches an armed power-loss
@@ -48,16 +44,6 @@ class SimClock:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def now_us(self) -> float:  # simlint: disable=SL004
-        """Current simulated time in microseconds (reporting only)."""
-        return self._now / NS_PER_US
-
-    @property
-    def now_sec(self) -> float:  # simlint: disable=SL004
-        """Current simulated time in seconds (reporting only)."""
-        return self._now / NS_PER_SEC
 
     def advance(self, delta_ns: int) -> int:
         """Move time forward by ``delta_ns`` and return the new time.
@@ -111,11 +97,6 @@ class SimClock:
             # touch the clock and must not re-trigger.
             self._power_deadline = None
             raise PowerLossTriggered(deadline)
-
-    def snapshot(self) -> dict:
-        """Flat snapshot for schedule-perturbation diffs (see
-        :func:`repro.sim.race.run_perturbed`)."""
-        return {"clock.now_ns": self._now}
 
     def reset(self, start_ns: int = 0) -> None:
         """Reset the clock, typically between experiment repetitions."""

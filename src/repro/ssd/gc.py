@@ -73,16 +73,14 @@ class GarbageCollector:
         self._background_ns.add(cost)
         return cost
 
-    def flush_dirty(self, limit: Optional[int] = None) -> TimeNs:
-        """Destage dirty pages (all, or at most ``limit``); returns ns spent.
+    def flush_dirty(self) -> TimeNs:
+        """Destage every dirty page; returns ns spent.
 
         The cost is charged to ``gc.background_ns`` rather than to any
         foreground access.
         """
         cost = 0
-        for count, entry in enumerate(self.cache.dirty_entries()):
-            if limit is not None and count >= limit:
-                break
+        for entry in self.cache.dirty_entries():
             cost += self.flush_entry(entry)
         if self.flash.sanitizer is not None:
             self.flash.sanitizer.check_accounting(

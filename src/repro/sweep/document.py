@@ -18,19 +18,16 @@ from typing import List, Mapping, Tuple, Union
 
 from repro.sweep.model import CellResult
 
-# EXPERIMENTS.md pins these bytes.  The serial command the header names has
-# been removed; ``python -m repro sweep --jobs 1 --no-cache`` is the serial
-# path now.  Reword the sentence when the document's prose next changes.
 HEADER = """# FlatFlash Reproduction — Experiment Results
 
 Generated by `python -m repro sweep` (parallel, content-addressed cache)
-or `python -m repro.experiments.run_all` (serial) — both assemble the
-same cells and emit byte-identical output.  Every table and figure of
+or `python -m repro sweep --jobs 1 --no-cache` (serial) — both assemble
+the same cells and emit byte-identical output.  Every table and figure of
 the paper's evaluation (§5) is regenerated by the simulator at reduced
-scale (capacity *ratios* preserved — see DESIGN.md §2).  Absolute
-numbers are simulated nanoseconds, not the authors' testbed; what must
-match — and is asserted by `pytest benchmarks/` — is the *shape*: who
-wins, by roughly what factor, and where the trends point.
+scale (capacity *ratios* preserved — see DESIGN.md §2).  Absolute numbers
+are simulated nanoseconds, not the authors' testbed; what must match — and
+is asserted on these rows by `tests/test_paper_shapes.py` — is the *shape*:
+who wins, by roughly what factor, and where the trends point.
 
 """
 

@@ -13,6 +13,7 @@ the clock sanitizer checking every batched clock advance.
 import pytest
 
 from repro.sim import sanitizers
+from repro.sweep.engine import run_sweep
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,3 +21,19 @@ def _enable_sanitizers():
     previous = sanitizers.set_default_enabled(True)
     yield
     sanitizers.set_default_enabled(previous)
+
+
+@pytest.fixture(scope="session")
+def serial_report():
+    """One inline (``jobs=1``) run of the full sweep, shared by the
+    equivalence suite and the paper-shape tests.
+
+    The sanitizers are off for this one call only: they are orthogonal to
+    the rows (and tested on their own), and they would roughly double the
+    run.  Every later test runs with them back on.
+    """
+    previous = sanitizers.set_default_enabled(False)
+    try:
+        return run_sweep(jobs=1)
+    finally:
+        sanitizers.set_default_enabled(previous)

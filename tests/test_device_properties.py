@@ -106,7 +106,8 @@ def test_flash_invariants_after_random_workload(seed):
         elif action < 0.8:
             device.write_page_block(lpn, None)
         else:
-            device.gc.flush_dirty(limit=2)
+            for entry in device.cache.dirty_entries()[:2]:
+                device.gc.flush_entry(entry)
     ftl = device.ftl
     # Mapping and reverse mapping are mutual inverses over programmed pages.
     assert len(ftl.mapping) == len(ftl.reverse)

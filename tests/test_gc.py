@@ -45,15 +45,6 @@ def test_flush_dirty_flushes_everything():
         assert data == bytes([lpn + 1]) * 64
 
 
-def test_flush_dirty_with_limit():
-    flash, ftl, cache, gc = make_stack()
-    for lpn in range(3):
-        ftl.write(lpn, None)
-        cache.insert(lpn, b"\x01" * 64, dirty=True)
-    gc.flush_dirty(limit=2)
-    assert len(cache.dirty_entries()) == 1
-
-
 def test_gc_folds_dirty_cache_pages_during_relocation():
     flash, ftl, cache, gc = make_stack(blocks=8, pages=4)
     # Block 0: lpn 0 live, lpns 1-3 invalidated by rewrites.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import NS_PER_SEC, NS_PER_US, SimClock
+from repro.sim.clock import SimClock
 
 
 def test_starts_at_zero():
@@ -58,13 +58,6 @@ def test_advance_to_past_is_noop():
     clock = SimClock(500)
     clock.advance_to(100)
     assert clock.now == 500
-
-
-def test_unit_conversions():
-    clock = SimClock()
-    clock.advance(NS_PER_SEC)
-    assert clock.now_sec == pytest.approx(1.0)
-    assert clock.now_us == pytest.approx(NS_PER_SEC / NS_PER_US)
 
 
 def test_reset():

@@ -65,6 +65,7 @@ class TestEngineCaching:
         assert [run.cached for run in second.runs] == [True, True]
         assert CALLS == {"alpha": 1, "agg": 1}
         assert first.results["agg"].rows == second.results["agg"].rows
+        assert first.results["alpha"].sections == second.results["alpha"].sections
 
     def test_param_change_misses(self, tmp_path):
         cache = SweepCache(tmp_path / "cache")

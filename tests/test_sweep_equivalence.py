@@ -9,12 +9,15 @@ hash-order-dependent rendering shows up here as a byte diff.  A third
 inline sweep forces every trace replay down the per-row scalar reference;
 its cells and document must match the fused sweep's exactly.
 
-The sweeps dominate the suite's runtime, so they are module-scoped
-fixtures computed once, with the (orthogonal, separately tested)
-sanitizers switched off.
+The sweeps dominate the suite's runtime, so each is computed once, with
+the (orthogonal, separately tested) sanitizers switched off.  The inline
+sweep is the session fixture ``serial_report`` (tests/conftest.py), which
+tests/test_paper_shapes.py reads too; the other two are module fixtures.
 """
 
+import hashlib
 import importlib
+import json
 
 import pytest
 
@@ -34,11 +37,6 @@ def _plain_simulators():
     previous_sanitizers = sanitizers.set_default_enabled(False)
     yield
     sanitizers.set_default_enabled(previous_sanitizers)
-
-
-@pytest.fixture(scope="module")
-def serial_report(_plain_simulators):
-    return run_sweep(jobs=1)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +122,19 @@ def test_engine_document_matches_seed_baseline(serial_report):
         pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
     ).read_text()
     assert assemble(serial_report.results) == committed
+
+
+#: Rows digests of the cells behind perf's gups, pagerank and tpcb
+#: workloads, recorded when the per-row scalar loop and the fused engine
+#: agreed on every cell.
+ROWS_SHA256 = {
+    "fig9a": "58cf388c9c67d3796c73d29199875643919cde0d7b0b34a65f0bb1f49e816dbd",
+    "fig10": "c65e07b4eb442e9b612d8062fbf87da21084945dae1396c7f4e519f0c8706a9a",
+    "fig14": "bf96364beea000271d963e5f5a305f959358791d476f7c4df14fdfca2b53874a",
+}
+
+
+@pytest.mark.parametrize("name", list(ROWS_SHA256))
+def test_engine_cell_rows_match_committed_digest(serial_report, name):
+    blob = json.dumps(serial_report.results[name].rows, sort_keys=True, default=str)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == ROWS_SHA256[name]
