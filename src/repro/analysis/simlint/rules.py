@@ -272,7 +272,7 @@ class FloatDivLatencyRule(Rule):
                 name = _call_name(node.func)
                 if name == "Delay" or (
                     isinstance(node.func, ast.Attribute)
-                    and name in {"advance", "advance_to"}
+                    and name == "advance"
                 ):
                     for arg in list(node.args) + [kw.value for kw in node.keywords]:
                         div = _find_div(arg)

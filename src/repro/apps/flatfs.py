@@ -281,22 +281,6 @@ class FlatFS:
         self.meta.commit()
         self.wal.truncate()
 
-    def replay_journal(self) -> int:
-        """Redo the journal from the *live* WAL; returns ops redone.
-
-        The post-failover scrub for fleets: losing a device relocates its
-        volatile directory blocks as zeroed pages, while the replicated
-        WAL and inode table survive intact.  Replaying the journal through
-        normal loads (no crash happened, so the flash image may lag the
-        battery-backed SSD-Cache) rewrites exactly the dirent/bitmap slots
-        each logged op touched.  The journal is left in place so repeated
-        losses stay repairable; call :meth:`checkpoint` to truncate.
-        """
-        ops = self.wal.records()
-        for op_payload in ops:
-            self._apply_op(op_payload)
-        return len(ops)
-
     def recover(self) -> int:
         """After a crash: idempotently redo the journal; returns ops redone.
 

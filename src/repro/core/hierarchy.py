@@ -43,7 +43,7 @@ class FlatFlash(MemorySystem):
     name = "FlatFlash"
     #: Capability marker: byte-granular persistence (persist-mapped pages,
     #: posted MMIO writes + write-verify fence).  Apps gate on this rather
-    #: than the concrete class so fleets compose transparently.
+    #: than the concrete class; the paging baselines do not carry it.
     supports_byte_persistence = True
 
     def __init__(
@@ -51,7 +51,6 @@ class FlatFlash(MemorySystem):
         config: Optional[FlatFlashConfig] = None,
         cache_policy: str = "rrip",
         promotion_manager: Optional[PromotionManager] = None,
-        device_id: Optional[int] = None,
     ) -> None:
         if config is None:
             config = FlatFlashConfig()
@@ -62,7 +61,6 @@ class FlatFlash(MemorySystem):
             host_merged_ftl=True,
             cache_policy=cache_policy,
             stats=self.stats,
-            device_id=device_id,
         )
         self.dram = HostDRAM(
             geometry.dram_pages,

@@ -20,11 +20,7 @@ a single small metadata update costs end to end.
 
 The region duck-types its system: anything with ``store``/``mmap``, a
 clock, and an ``ssd`` port exposing ``verify_read``/``recover_read``/
-``persistence_sanitizer`` works.  On a :class:`~repro.fleet.FlatFlashFleet`
-that makes durable writes *replica-aware* for free — a persist store fans
-out to every copy, the fence fans out to every active member (costing the
-slowest one), and ``recover_bytes`` routes through the shard router to the
-page's current primary.
+``persistence_sanitizer`` works.
 """
 
 from __future__ import annotations

@@ -25,14 +25,6 @@ Scenarios
     Sweep the power-loss instant across a workload, restart from the
     surviving flash image, and check the application invariant: WAL
     prefix durability, commit-log monotonicity, FlatFS fsck cleanliness.
-``device_loss``
-    Fleet failover: kill device ``k`` at a deterministic mid-workload
-    instant, across a replication-factor sweep on a 3-device fleet.
-    With R >= 2 every acknowledged WAL append must survive the failover
-    (zero durable bytes lost) and the run must replay byte-for-byte;
-    R = 1 is the control arm that shows what replication buys.  A rate
-    arm drives the same machinery through the ``pcie.device_loss``
-    injector plane.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import struct
-import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.flatfs import FlatFS
@@ -55,7 +46,6 @@ from repro.faults.recovery import (
     check_log_monotonic,
     check_wal_prefix,
 )
-from repro.fleet import FlatFlashFleet, FleetConfig, FleetExhaustedError
 
 #: Stat counters worth reporting per scenario (prefix match).
 _METRIC_PREFIXES = (
@@ -74,10 +64,6 @@ _METRIC_PREFIXES = (
     "bridge.degraded_accesses",
     "pcie.mmio_timeouts",
     "pcie.mmio_corruptions",
-    "pcie.device_losses",
-    "fleet.",
-    "router.",
-    "repl.",
     "ssd.peek_misses",
     "ssd.poke_misses",
     "pmem.recover_failures",
@@ -399,166 +385,6 @@ def _power_flatfs(seed: int, smoke: bool) -> dict:
     )
 
 
-# --------------------------------------------------------------------- #
-# Fleet device-loss scenario
-# --------------------------------------------------------------------- #
-
-
-def _fleet_wal_trial(
-    payloads: List[bytes],
-    replication: int,
-    kills: Tuple[Tuple[int, int], ...],
-    faults: Optional[FaultConfig] = None,
-) -> Tuple[FlatFlashFleet, List[bytes], List[bytes], bool]:
-    """One WAL-append run on a 3-device fleet; returns what survived."""
-    if faults is None:
-        config = small_config(track_data=True)
-    else:
-        config = small_config(track_data=True, faults=faults)
-    fleet = FlatFlashFleet(
-        config,
-        FleetConfig(
-            num_devices=3,
-            replication_factor=replication,
-            scheduled_losses=kills,
-        ),
-    )
-    wal = WriteAheadLog.create(fleet, num_pages=4, name="campaign.wal")
-    acked: List[bytes] = []
-    exhausted = False
-    try:
-        for payload in payloads:
-            wal.append(payload)
-            acked.append(payload)
-    except FleetExhaustedError:
-        exhausted = True
-    # Post-failover durability is checked through normal loads: no crash
-    # happened, so the battery-backed SSD-Cache (ahead of the flash
-    # image) still counts as durable.
-    records = [] if exhausted else wal.records()
-    return fleet, acked, records, exhausted
-
-
-def _fleet_fingerprint(fleet: FlatFlashFleet, records: List[bytes]) -> int:
-    """Canonical digest of a trial: events, summary, clock and payloads."""
-    blob = json.dumps(
-        {
-            "events": [event.as_dict() for event in fleet.failover_events],
-            "summary": fleet.fleet_summary(),
-            "elapsed_ns": fleet.clock.now,
-            "records_crc": zlib.crc32(b"".join(records)),
-        },
-        sort_keys=True,
-    )
-    return zlib.crc32(blob.encode("ascii"))
-
-
-def _device_loss(seed: int, smoke: bool) -> dict:
-    """Kill device k mid-workload; R >= 2 must lose zero durable bytes."""
-    payloads = _wal_payloads(12 if smoke else 36)
-    problems: List[str] = []
-    metrics: Dict[str, int] = {}
-    details: Dict[str, int] = {"trials": 0}
-    fingerprints: Dict[Tuple[int, int], int] = {}
-    instants: Dict[int, int] = {}
-
-    for replication in (1, 2, 3):
-        # Dry run (no losses) to learn this R's workload span, then kill
-        # each device in turn at the deterministic mid-workload instant.
-        dry, _acked, _records, _exhausted = _fleet_wal_trial(
-            payloads, replication, ()
-        )
-        instant = max(1, dry.clock.now // 2)
-        instants[replication] = instant
-        for victim in range(3):
-            fleet, acked, records, exhausted = _fleet_wal_trial(
-                payloads, replication, ((instant, victim),)
-            )
-            details["trials"] += 1
-            _merge_metrics(metrics, fleet)
-            for device in fleet.devices:
-                _merge_metrics(metrics, device)
-            summary = fleet.fleet_summary()
-            label = f"R={replication} kill dev{victim} at {instant}ns"
-            key = f"r{replication}_durable_pages_lost"
-            details[key] = details.get(key, 0) + summary["durable_pages_lost"]
-            key = f"r{replication}_pages_promoted"
-            details[key] = details.get(key, 0) + summary["pages_promoted"]
-            if exhausted:
-                problems.append(f"{label}: fleet exhausted by a single loss")
-                continue
-            fingerprints[(replication, victim)] = _fleet_fingerprint(
-                fleet, records
-            )
-            events = fleet.failover_events
-            if len(events) != 1 or events[0].device != victim:
-                problems.append(
-                    f"{label}: expected one failover on dev{victim}, "
-                    f"got {[event.device for event in events]}"
-                )
-            if replication >= 2:
-                if summary["durable_pages_lost"]:
-                    problems.append(
-                        f"{label}: lost {summary['durable_pages_lost']} "
-                        "durable page(s) despite replication"
-                    )
-                if len(records) != len(acked):
-                    problems.append(
-                        f"{label}: {len(acked)} appends acknowledged but "
-                        f"only {len(records)} readable after failover"
-                    )
-                problems.extend(
-                    f"{label}: {problem}"
-                    for problem in check_wal_prefix(acked, records)
-                )
-
-    # Byte-replay gate: re-running one killed config must reproduce the
-    # failover events, summary, elapsed time and surviving bytes exactly.
-    fleet, _acked, records, _exhausted = _fleet_wal_trial(
-        payloads, 2, ((instants[2], 1),)
-    )
-    replay = _fleet_fingerprint(fleet, records)
-    details["replay_identical"] = int(replay == fingerprints.get((2, 1)))
-    if not details["replay_identical"]:
-        problems.append(
-            "R=2 kill dev1 did not replay byte-for-byte "
-            f"(fingerprints {fingerprints.get((2, 1))} vs {replay})"
-        )
-
-    # Rate arm: the same failovers driven through the pcie.device_loss
-    # injector plane (per-device streams; see repro.faults.plan).  How
-    # many devices die depends on the seed, so the durability assertion
-    # is guarded: a single loss with R=2 must still lose nothing.
-    faults = FaultConfig(seed=seed, device_loss_rate=0.01)
-    fleet, acked, records, exhausted = _fleet_wal_trial(
-        payloads, 2, (), faults=faults
-    )
-    _merge_metrics(metrics, fleet)
-    for device in fleet.devices:
-        _merge_metrics(metrics, device)
-    summary = fleet.fleet_summary()
-    details["rate_device_losses"] = summary["device_losses"]
-    details["rate_exhausted"] = int(exhausted)
-    if not exhausted and summary["device_losses"] == 1:
-        if summary["durable_pages_lost"]:
-            problems.append(
-                "rate arm: single injected loss with R=2 lost "
-                f"{summary['durable_pages_lost']} durable page(s)"
-            )
-        problems.extend(
-            f"rate arm: {problem}"
-            for problem in check_wal_prefix(acked, records)
-        )
-    injector = fleet.devices[0].ssd.faults
-    return _scenario_report(
-        "device_loss",
-        faults,
-        metrics,
-        problems,
-        details,
-        injector.summary() if injector is not None else None,
-    )
-
 SCENARIOS: Dict[str, Callable[[int, bool], dict]] = {
     "zero_faults": _zero_faults,
     "nand_soak": _nand_soak,
@@ -566,7 +392,6 @@ SCENARIOS: Dict[str, Callable[[int, bool], dict]] = {
     "power_wal": _power_wal,
     "power_db_log": _power_db_log,
     "power_flatfs": _power_flatfs,
-    "device_loss": _device_loss,
 }
 
 SCENARIO_NAMES: Tuple[str, ...] = tuple(SCENARIOS)

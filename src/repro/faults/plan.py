@@ -26,22 +26,11 @@ site                                    drawn on
 ``nand.erase``                          every block erase (erase fail → bad block)
 ``pcie.mmio_read.timeout`` / ``.corrupt``    every non-posted MMIO read
 ``pcie.mmio_write.timeout`` / ``.corrupt``   every posted MMIO write
-``pcie.device_loss``                    every MMIO transaction (link dies)
 ======================================  =======================================
 
 Power loss is *not* a probabilistic site: it is an armed deadline on the
 simulated clock (see :mod:`repro.faults.power`), because "cut power at
 instant T" must be exact to make crash-recovery sweeps meaningful.
-
-Multi-device fleets
--------------------
-
-A fleet (:mod:`repro.fleet`) instantiates one injector per device with a
-``namespace`` of ``"dev<k>"``; streams are then seeded per *(device,
-site)* — ``crc32("dev<k>/<site>")`` — so adding a device to a fleet never
-perturbs another device's fault schedule.  An empty namespace (the
-single-device default) reproduces the historical ``crc32(site)`` streams
-byte for byte.
 """
 
 from __future__ import annotations
@@ -61,7 +50,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "pcie.mmio_read.corrupt",
     "pcie.mmio_write.timeout",
     "pcie.mmio_write.corrupt",
-    "pcie.device_loss",
 )
 
 
@@ -89,11 +77,6 @@ class FaultConfig:
     # PCIe plane.
     pcie_timeout_rate: float = 0.0
     pcie_corrupt_rate: float = 0.0
-    #: Whole-device loss: per-MMIO-transaction probability that the PCIe
-    #: link goes down permanently (fail-stop).  Only meaningful behind a
-    #: fleet (:mod:`repro.fleet`), where the loss triggers failover; on a
-    #: single device it surfaces as an unrecoverable DeviceLostError.
-    device_loss_rate: float = 0.0
     #: Bounded MMIO retries in the host bridge before giving up on a access.
     mmio_max_retries: int = 3
     #: Exponential backoff: attempt ``k`` waits base * multiplier**k ns.
@@ -114,8 +97,6 @@ class FaultConfig:
                 "nand.program": self.nand_program_fail_rate,
                 "nand.erase": self.nand_erase_fail_rate,
             }[site]
-        if site == "pcie.device_loss":
-            return self.device_loss_rate
         if site.endswith(".timeout"):
             return self.pcie_timeout_rate
         if site.endswith(".corrupt"):
@@ -145,7 +126,6 @@ class FaultConfig:
             "nand_erase_fail_rate",
             "pcie_timeout_rate",
             "pcie_corrupt_rate",
-            "device_loss_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -203,24 +183,19 @@ class FaultEvent:
     index: int
 
 
-def _site_stream_seed(seed: int, site: str, namespace: str = "") -> Tuple[int, int]:
+def _site_stream_seed(seed: int, site: str) -> Tuple[int, int]:
     # crc32 gives each site a stable, collision-free-enough sub-seed so the
     # (seed, site) pair fully determines the stream — independent of every
-    # other site's traffic volume.  A non-empty namespace (one per fleet
-    # device) extends the key to (seed, namespace, site) so per-device
-    # schedules are independent too; the empty namespace preserves the
-    # historical single-device streams exactly.
-    key = f"{namespace}/{site}" if namespace else site
-    return (seed & 0xFFFFFFFF, zlib.crc32(key.encode("ascii")))
+    # other site's traffic volume.
+    return (seed & 0xFFFFFFFF, zlib.crc32(site.encode("ascii")))
 
 
 class FaultInjector:
     """Draws fault decisions from per-site seeded streams and logs them."""
 
-    def __init__(self, config: FaultConfig, namespace: str = "") -> None:
+    def __init__(self, config: FaultConfig) -> None:
         config.validate()
         self.config = config
-        self.namespace = namespace
         self.plan = config.plan()
         self._counts: Dict[str, int] = {site: 0 for site in FAULT_SITES}
         self._fired: Dict[str, int] = {site: 0 for site in FAULT_SITES}
@@ -234,9 +209,7 @@ class FaultInjector:
     def _rng(self, site: str) -> np.random.Generator:
         rng = self._rngs.get(site)
         if rng is None:
-            rng = np.random.default_rng(
-                _site_stream_seed(self.config.seed, site, self.namespace)
-            )
+            rng = np.random.default_rng(_site_stream_seed(self.config.seed, site))
             self._rngs[site] = rng
         return rng
 

@@ -28,11 +28,6 @@ class MMIORetryPolicy:
     failures on one page, that page is degraded permanently to the
     block/DMA path and its promotion is suppressed, so the system keeps
     serving accesses at block-I/O latency instead of erroring.
-
-    The ladder is key-agnostic: the bridge tracks consecutive failures
-    per logical page, and a :class:`~repro.fleet.FlatFlashFleet` reuses
-    the same escalation keyed by *device index* to turn consecutive
-    ``DeviceLostError`` observations into a failover declaration.
     """
 
     def __init__(

@@ -51,24 +51,6 @@ class PCIeFaultError(RuntimeError):
         self.latency_ns = latency_ns
 
 
-class DeviceLostError(RuntimeError):
-    """The PCIe link is down: the whole device has fail-stopped.
-
-    Unlike :class:`PCIeFaultError` this is *not* retryable at the device
-    level — the link never comes back — so it is deliberately not a
-    subclass: it flies past the host bridge's per-page MMIO retry ladder
-    and is handled by whoever composes devices (a fleet promotes a
-    replica; a single-device system has lost the device for good).
-    """
-
-    def __init__(self, site: str, latency_ns: int) -> None:
-        super().__init__(f"device lost at {site}: PCIe link down")
-        self.site = site
-        #: Time the host observably lost discovering the dead link (the
-        #: completion-timeout window).
-        self.latency_ns = latency_ns
-
-
 @dataclass(frozen=True)
 class BarWindow:
     """A Base Address Register window in host physical address space."""
@@ -118,11 +100,10 @@ class PCIeLink:
         # write-verify fence relies on).
         self.persistence_sanitizer = persistence_sanitizer
         self.faults = faults
-        # Fail-stop flag: set by an injected pcie.device_loss fault or an
-        # administrative kill_link(); permanent for the simulation's life.
-        self._down = False
         self._reads = self.stats.counter("pcie.mmio_reads")
-        self._device_losses = self.stats.counter("pcie.device_losses")
+        # Never incremented; registered because perf/expected.json hashes
+        # every registered counter.
+        self.stats.counter("pcie.device_losses")
         self._writes = self.stats.counter("pcie.mmio_writes")
         # Never incremented; registered because perf/expected.json hashes
         # every registered counter.
@@ -133,42 +114,17 @@ class PCIeLink:
         self._timeouts = self.stats.counter("pcie.mmio_timeouts")
         self._corruptions = self.stats.counter("pcie.mmio_corruptions")
 
-    @property
-    def is_down(self) -> bool:
-        """True once the link has fail-stopped (device loss)."""
-        return self._down
-
-    def kill_link(self) -> None:
-        """Fail-stop the link permanently (device loss).
-
-        Idempotent; every transaction afterwards raises
-        :class:`DeviceLostError` after the completion-timeout window.
-        """
-        if not self._down:
-            self._down = True
-            self._device_losses.add()
-
-    def _check_link(self, site: str) -> None:
-        if self._down:
-            raise DeviceLostError(site, self.latency.mmio_timeout_ns)
-
     def _maybe_fault(self, op: str, line_cost_ns: int) -> None:
-        """Draw the per-op fault sites; raises :class:`PCIeFaultError`
-        or :class:`DeviceLostError`.
+        """Draw the per-op fault sites; raises :class:`PCIeFaultError`.
 
-        Device loss is drawn first (it fail-stops the link), then
-        timeout, then corrupt — independent seeded streams, so enabling
-        one never reshuffles the others.  A faulted transaction still
-        occupies the link (traffic was already counted) but is *not*
+        Timeout is drawn before corrupt — independent seeded streams, so
+        enabling one never reshuffles the other.  A faulted transaction
+        still occupies the link (traffic was already counted) but is *not*
         announced to the persistence sanitizer: a dropped posted write
         never lands, and a failed read orders nothing.
         """
-        self._check_link(f"pcie.{op}")
         if self.faults is None:
             return
-        if self.faults.fires("pcie.device_loss"):
-            self.kill_link()
-            raise DeviceLostError(f"pcie.{op}", self.latency.mmio_timeout_ns)
         if self.faults.fires(f"pcie.{op}.timeout"):
             self._timeouts.add()
             raise PCIeFaultError(
@@ -205,7 +161,6 @@ class PCIeLink:
 
     def verify_read_cost(self) -> TimeNs:
         """Cost of the write-verify read flushing posted writes (§3.5)."""
-        self._check_link("pcie.verify_read")
         self._reads.add(1)
         self._bytes_from_device.add(self.cacheline_size)
         if self.persistence_sanitizer is not None:
@@ -214,7 +169,6 @@ class PCIeLink:
 
     def dma_to_host_cost(self, size: int) -> TimeNs:
         """Cost of a device-initiated DMA into host DRAM (page promotion)."""
-        self._check_link("pcie.dma_to_host")
         pages = self._cachelines(size) * self.cacheline_size
         self._dma_ops.add(1)
         self._bytes_from_device.add(size)
@@ -225,7 +179,6 @@ class PCIeLink:
 
     def dma_from_host_cost(self, size: int) -> TimeNs:
         """Cost of a DMA from host DRAM into the device (page write-back)."""
-        self._check_link("pcie.dma_from_host")
         self._cachelines(size)  # the size rule, before anything is counted
         self._dma_ops.add(1)
         self._bytes_to_device.add(size)

@@ -36,7 +36,7 @@ class SimClock:
             raise ValueError(f"clock cannot start at negative time: {start_ns}")
         self._sanitizer = sanitizer
         if sanitizer is not None:
-            sanitizer.on_reset(start_ns)
+            sanitizer.on_start(start_ns)
         self._now = int(start_ns)
         self._power_deadline: Optional[int] = None
 
@@ -56,16 +56,6 @@ class SimClock:
         if delta < 0:
             raise ValueError(f"cannot advance clock by negative delta: {delta}")
         self._now += delta
-        self._check_power_deadline()
-        return self._now
-
-    def advance_to(self, timestamp_ns: int) -> int:
-        """Move time forward to an absolute timestamp (no-op if in the past)."""
-        if self._sanitizer is not None:
-            self._sanitizer.on_advance_to(self._now, timestamp_ns)
-        timestamp = int(timestamp_ns)
-        if timestamp > self._now:
-            self._now = timestamp
         self._check_power_deadline()
         return self._now
 
@@ -97,15 +87,6 @@ class SimClock:
             # touch the clock and must not re-trigger.
             self._power_deadline = None
             raise PowerLossTriggered(deadline)
-
-    def reset(self, start_ns: int = 0) -> None:
-        """Reset the clock, typically between experiment repetitions."""
-        if start_ns < 0:
-            raise ValueError(f"clock cannot reset to negative time: {start_ns}")
-        if self._sanitizer is not None:
-            self._sanitizer.on_reset(start_ns)
-        self._now = int(start_ns)
-        self._power_deadline = None
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now}ns)"

@@ -123,7 +123,7 @@ class ClockSanitizer:
     def __init__(self) -> None:
         self._shadow_now: Optional[int] = None
 
-    def on_reset(self, start_ns: int) -> None:
+    def on_start(self, start_ns: int) -> None:
         self._check_integral("start time", start_ns)
         self._shadow_now = int(start_ns)
 
@@ -155,14 +155,6 @@ class ClockSanitizer:
         self._check_shadow(claimed_now)
         assert self._shadow_now is not None
         self._shadow_now += delta_ns
-
-    def on_advance_to(self, claimed_now: int, timestamp_ns: object) -> None:
-        self._check_integral("target timestamp", timestamp_ns)
-        assert isinstance(timestamp_ns, int)
-        self._check_shadow(claimed_now)
-        assert self._shadow_now is not None
-        if timestamp_ns > self._shadow_now:
-            self._shadow_now = timestamp_ns
 
 
 # --------------------------------------------------------------------- #

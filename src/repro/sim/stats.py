@@ -35,9 +35,6 @@ class Counter:
             race._ACTIVE.note(self, "value", "w")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __int__(self) -> int:
         return self.value
 
@@ -89,10 +86,6 @@ class RatioStat:
         if self.total == 0:
             return 0.0
         return self.hits / self.total
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.total = 0
 
     def __repr__(self) -> str:
         return f"RatioStat({self.name}: {self.hits}/{self.total})"
@@ -231,13 +224,6 @@ class LatencyStats:
     def p99(self) -> int:
         return self.percentile(99.0)
 
-    def reset(self) -> None:
-        self._samples.clear()
-        self._count = 0
-        self._sum = 0
-        self._min = None
-        self._max = None
-
     def __repr__(self) -> str:
         return f"LatencyStats({self.name}: n={self._count}, mean={self.mean:.1f}ns)"
 
@@ -364,11 +350,3 @@ class StatRegistry:
             recorder.register(ratio, f"{prefix}{name}")
         for name, lat in self._latencies.items():
             recorder.register(lat, f"{prefix}{name}")
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        for ratio in self._ratios.values():
-            ratio.reset()
-        for lat in self._latencies.values():
-            lat.reset()

@@ -65,15 +65,11 @@ class ByteAddressableSSD:
         bar_base: int = DEFAULT_BAR_BASE,
         cache_policy: str = "rrip",
         stats: Optional[StatRegistry] = None,
-        device_id: Optional[int] = None,
         remap_table: bool = True,
     ) -> None:
         config.validate()
         self.config = config
         self.host_merged_ftl = host_merged_ftl
-        #: Fleet position (None = standalone device).  Only used to
-        #: namespace the fault injector's RNG streams per device.
-        self.device_id = device_id
         self.stats = stats if stats is not None else StatRegistry()
         geometry = config.geometry
         latency = config.latency
@@ -88,14 +84,8 @@ class ByteAddressableSSD:
 
         # Fault injection (repro.faults): constructed only when the config
         # can ever fire a fault, so zero-rate runs take the exact baseline
-        # code paths.  Fleet members get a per-device namespace so one
-        # device's traffic never perturbs another's fault schedule.
-        namespace = "" if device_id is None else f"dev{device_id}"
-        self.faults = (
-            FaultInjector(config.faults, namespace=namespace)
-            if config.faults.active
-            else None
-        )
+        # code paths.
+        self.faults = FaultInjector(config.faults) if config.faults.active else None
 
         ppb = geometry.flash_pages_per_block
         exported_blocks = -(-geometry.ssd_pages // ppb)
@@ -463,13 +453,6 @@ class ByteAddressableSSD:
     # ------------------------------------------------------------------ #
     # Crash / recovery (persistence experiments)
     # ------------------------------------------------------------------ #
-
-    def fail_stop(self) -> None:
-        """Administratively kill the device's PCIe link (device loss).
-
-        Used by fleet campaigns to fail a device at an exact simulated
-        instant; every later transaction raises ``DeviceLostError``."""
-        self.pcie.kill_link()
 
     def crash(self) -> None:
         """Power failure.  Battery-backed controllers destage dirty cache

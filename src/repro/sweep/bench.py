@@ -66,7 +66,6 @@ def bench_payload(report: SweepReport, registry=None) -> Dict[str, object]:
                 "fig11_12", "p99_reduction_vs_traditional"
             ),
             "scorecard_verdicts": metric("scorecard", "verdicts"),
-            "fleet_failover_scorecard": metric("fleet:failover", "scorecard"),
         },
     }
 

@@ -206,7 +206,6 @@ def default_registry() -> Registry:
         fig11_12,
         fig13,
         fig14,
-        fleet_scaling,
         interference,
         scorecard,
         table1,
@@ -322,23 +321,6 @@ def default_registry() -> Registry:
     )
     registry.register(
         Cell("breakdown", breakdown.cell, covers=("repro.experiments.breakdown:run",))
-    )
-
-    # Fleet: device-count scaling and the failover-under-load scorecard.
-    # Data-only cells (no markdown), like the fault campaign below.
-    registry.register(
-        Cell(
-            "fleet:scaling",
-            fleet_scaling.cell_scaling,
-            covers=("repro.experiments.fleet_scaling:run_fleet_scaling",),
-        )
-    )
-    registry.register(
-        Cell(
-            "fleet:failover",
-            fleet_scaling.cell_failover,
-            covers=("repro.experiments.fleet_scaling:run_fleet_failover",),
-        )
     )
 
     # simfault campaign: one data-only cell per fault scenario (smoke

@@ -66,6 +66,32 @@ def test_same_seed_same_schedule():
     assert realize() == realize()
 
 
+@pytest.mark.parametrize(
+    "config, site, expected",
+    [
+        (
+            FaultConfig(seed=3, pcie_timeout_rate=0.05),
+            "pcie.mmio_write.timeout",
+            [1, 9, 43, 46, 72, 124, 125, 136, 141, 153, 183, 186, 195, 217,
+             241, 267, 281, 283, 290, 296],
+        ),
+        (
+            FaultConfig(seed=7, nand_read_error_rate=0.05),
+            "nand.read",
+            [15, 18, 28, 33, 39, 72, 96, 133, 143, 150, 159, 178, 190, 216,
+             230, 242, 253, 298],
+        ),
+    ],
+    ids=["pcie", "nand"],
+)
+def test_site_streams_are_pinned(config, site, expected):
+    """Each site's stream is keyed by (seed, crc32(site)): the fire
+    indices are fixed literals, not just equal across two runs."""
+    inj = FaultInjector(config)
+    fires = [index for index in range(300) if inj.fires(site)]
+    assert fires == expected
+
+
 def test_sites_are_independent_streams():
     """Adding traffic at one site never changes another site's schedule."""
     lonely = injector(seed=3, nand_read_error_rate=0.25)

@@ -48,35 +48,5 @@ def test_advance_truncates_float():
     assert clock.now == 10
 
 
-def test_advance_to_future():
-    clock = SimClock()
-    clock.advance_to(1_000)
-    assert clock.now == 1_000
-
-
-def test_advance_to_past_is_noop():
-    clock = SimClock(500)
-    clock.advance_to(100)
-    assert clock.now == 500
-
-
-def test_reset():
-    clock = SimClock(77)
-    clock.advance(100)
-    clock.reset()
-    assert clock.now == 0
-
-
-def test_reset_to_value():
-    clock = SimClock()
-    clock.reset(42)
-    assert clock.now == 42
-
-
-def test_reset_negative_rejected():
-    with pytest.raises(ValueError):
-        SimClock().reset(-3)
-
-
 def test_repr_mentions_time():
     assert "123" in repr(SimClock(123))

@@ -25,12 +25,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").add(-1)
 
-    def test_reset(self):
-        counter = Counter("c")
-        counter.add(9)
-        counter.reset()
-        assert counter.value == 0
-
     def test_int_conversion(self):
         counter = Counter("c")
         counter.add(4)
@@ -55,12 +49,6 @@ class TestRatioStat:
         ratio.record(True)
         assert ratio.ratio == pytest.approx(0.5)
         assert ratio.misses == 2
-
-    def test_reset(self):
-        ratio = RatioStat("r")
-        ratio.record(True)
-        ratio.reset()
-        assert ratio.total == 0
 
 
 class TestLatencyStats:
@@ -120,13 +108,6 @@ class TestLatencyStats:
         assert stats.mean == pytest.approx(20.0)
         with pytest.raises(ValueError):
             stats.p50
-
-    def test_reset(self):
-        stats = LatencyStats("l")
-        stats.record(5)
-        stats.reset()
-        assert stats.count == 0
-        assert stats.mean == 0.0
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1))
     def test_percentile_is_a_sample_and_bounded(self, samples):
@@ -191,14 +172,3 @@ class TestStatRegistry:
         registry = StatRegistry()
         registry.counter("a").add(3)
         assert registry.counters() == {"a": 3}
-
-    def test_reset_clears_everything(self):
-        registry = StatRegistry()
-        registry.counter("c").add(2)
-        registry.ratio("r").record(True)
-        registry.latency("l").record(9)
-        registry.reset()
-        snapshot = registry.as_dict()
-        assert snapshot["c"] == 0
-        assert snapshot["r.total"] == 0
-        assert snapshot["l.count"] == 0
