@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro list                # available experiments
-    python -m repro run fig9            # one table/figure
-    python -m repro run ablations
+    python -m repro list                # the sweep's cells
+    python -m repro run 'fig9*'         # matching cells' sections (deps run too)
+    python -m repro run 'ablations:*'
     python -m repro sweep [output.md]   # everything -> EXPERIMENTS.md, parallel + cached
     python -m repro sweep --jobs 1 --no-cache   # the same, serial and uncached
     python -m repro race [--seeds N]    # schedule-perturbation check
@@ -16,59 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
-
-from repro.experiments import ablations, breakdown, device_tech, fig8, fig9, fig10
-from repro.experiments import fig11_12, fig13, fig14, interference, scorecard
-from repro.experiments import table1, table2, table3
-
-
-def _run_fig9() -> None:
-    fig9.render_fig9a(fig9.run_fig9a()).print()
-    fig9.render_fig9b(fig9.run_fig9b()).print()
-
-
-def _run_fig11_12() -> None:
-    result = fig11_12.run()
-    fig11_12.render(result).print()
-    for baseline in ("UnifiedMMap", "TraditionalStack"):
-        print(
-            f"max p99 reduction vs {baseline}: "
-            f"{fig11_12.tail_latency_reduction(result, baseline)}x"
-        )
-    fig11_12.run_cdf().print()
-
-
-def _run_fig14() -> None:
-    fig14.render_threads(fig14.run_threads()).print()
-    fig14.render_sweep(fig14.run_device_latency_sweep()).print()
-
-
-def _run_ablations() -> None:
-    ablations.render_promotion_policy(ablations.run_promotion_policy()).print()
-    ablations.render_plb(ablations.run_plb()).print()
-    ablations.render_cache_policy(ablations.run_cache_policy()).print()
-    ablations.render_cacheable_mmio(ablations.run_cacheable_mmio()).print()
-    ablations.render_logging_scheme(ablations.run_logging_scheme()).print()
-
-
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "table1": lambda: table1.render(table1.run()).print(),
-    "table2": lambda: table2.render(table2.run()).print(),
-    "table3": lambda: table3.render(table3.run()).print(),
-    "fig8": lambda: fig8.render(fig8.run()).print(),
-    "fig9": _run_fig9,
-    "fig10": lambda: fig10.render(fig10.run()).print(),
-    "fig11": _run_fig11_12,
-    "fig12": _run_fig11_12,
-    "fig13": lambda: fig13.render(fig13.run()).print(),
-    "fig14": _run_fig14,
-    "ablations": _run_ablations,
-    "device-tech": lambda: device_tech.render(device_tech.run()).print(),
-    "interference": lambda: interference.render(interference.run()).print(),
-    "breakdown": lambda: breakdown.render(breakdown.run()).print(),
-    "scorecard": lambda: scorecard.render(scorecard.run()).print(),
-}
 
 
 def main(argv=None) -> int:
@@ -77,9 +24,11 @@ def main(argv=None) -> int:
         description="FlatFlash reproduction: run the paper's experiments.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list available experiments")
-    run_parser = subparsers.add_parser("run", help="run one experiment")
-    run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    subparsers.add_parser("list", help="list the sweep's cells")
+    run_parser = subparsers.add_parser(
+        "run", help="run the cells matching a glob and print their sections"
+    )
+    run_parser.add_argument("cells", nargs="+", metavar="GLOB")
     from repro.sweep import cli as sweep_cli
 
     sweep_parser = subparsers.add_parser(
@@ -113,11 +62,21 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
+        from repro.sweep.registry import default_registry
+
+        print("\n".join(default_registry().names()))
         return 0
     if args.command == "run":
-        EXPERIMENTS[args.experiment]()
+        from repro.sweep.engine import run_sweep
+        from repro.sweep.registry import default_registry
+
+        try:
+            matched = default_registry().matching(args.cells)
+        except ValueError as error:
+            run_parser.error(str(error))
+        results = run_sweep(jobs=1, only=matched).results
+        sections = [section for name in matched for section in results[name].sections]
+        print("\n".join(sections), end="")
         return 0
     if args.command == "race":
         from repro.experiments.race_check import run_race_check

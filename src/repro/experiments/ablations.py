@@ -392,13 +392,3 @@ def cell_sequential_fairness() -> CellResult:
 
 def cell_logging_scheme() -> CellResult:
     return _ablation_cell(run_logging_scheme, render_logging_scheme)
-
-
-if __name__ == "__main__":
-    render_promotion_policy(run_promotion_policy()).print()
-    render_plb(run_plb()).print()
-    render_cache_policy(run_cache_policy()).print()
-    render_cacheable_mmio(run_cacheable_mmio()).print()
-    render_prefetch(run_prefetch()).print()
-    render_sequential_fairness(run_sequential_fairness()).print()
-    render_logging_scheme(run_logging_scheme()).print()

@@ -80,7 +80,3 @@ def cell() -> CellResult:
         sections=[*SECTION, markdown_block(render(result).render())],
         rows=result.rows,
     )
-
-
-if __name__ == "__main__":
-    render(run()).print()

@@ -121,7 +121,3 @@ def cell() -> CellResult:
             "max_speedup": max(float(row["speedup"]) for row in result.rows),
         },
     )
-
-
-if __name__ == "__main__":
-    render(run()).print()

@@ -74,6 +74,7 @@ def run(
                         system=name,
                         elapsed_ms=round((system.clock.now - start) / 1e6, 2),
                         page_movements=system.page_movements,
+                        flash_programs=system.ssd.flash.total_programs,
                     )
     return result
 
@@ -149,10 +150,3 @@ def cell() -> CellResult:
             },
         },
     )
-
-
-if __name__ == "__main__":
-    outcome = run()
-    render(outcome).print()
-    print("\nmax speedup vs UnifiedMMap:", speedup_over(outcome, "UnifiedMMap"))
-    print("max speedup vs TraditionalStack:", speedup_over(outcome, "TraditionalStack"))

@@ -60,6 +60,7 @@ def run(
                     p99_ns=stats.p99,
                     hit_ratio=round(hit_ratio, 3),
                     page_movements=system.page_movements,
+                    flash_programs=system.ssd.flash.total_programs,
                 )
     return result
 
@@ -172,13 +173,3 @@ def cell() -> CellResult:
             "p99_reduction_vs_traditional": float(vs_traditional),
         },
     )
-
-
-if __name__ == "__main__":
-    outcome = run()
-    render(outcome).print()
-    for baseline in ("UnifiedMMap", "TraditionalStack"):
-        print(
-            f"\nmax p99 reduction vs {baseline}:",
-            tail_latency_reduction(outcome, baseline),
-        )

@@ -124,9 +124,3 @@ def cell() -> CellResult:
             },
         },
     )
-
-
-if __name__ == "__main__":
-    outcome = run()
-    render(outcome).print()
-    print("\nspeedup ranges:", speedup_range(outcome))

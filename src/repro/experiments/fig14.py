@@ -63,6 +63,7 @@ def run_threads(
                     system=name,
                     throughput_tps=round(outcome.throughput_tps),
                     lock_contention=round(outcome.log_lock_contention, 3),
+                    flash_programs=system.ssd.flash.total_programs,
                 )
     return result
 
@@ -148,7 +149,7 @@ def max_scaling(result: ExperimentResult, baseline: str) -> Dict[str, float]:
     return out
 
 
-# --------------------------------------------------------------- sweep cell
+# --------------------------------------------------------------- sweep cells
 
 SECTION = (
     "## Figure 14 — OLTP throughput, per-transaction logging\n",
@@ -168,7 +169,6 @@ def cell() -> CellResult:
             markdown_block(render_threads(result).render()),
             f"Max ratios: vs UnifiedMMap {vs_unified}, "
             f"vs TraditionalStack {vs_traditional}\n",
-            markdown_block(render_sweep(run_device_latency_sweep()).render()),
         ],
         rows=result.rows,
         metrics={
@@ -180,10 +180,10 @@ def cell() -> CellResult:
     )
 
 
-if __name__ == "__main__":
-    outcome = run_threads()
-    render_threads(outcome).print()
-    print("\nmax ratio vs UnifiedMMap:", max_scaling(outcome, "UnifiedMMap"))
-    print("max ratio vs TraditionalStack:", max_scaling(outcome, "TraditionalStack"))
-    sweep = run_device_latency_sweep()
-    render_sweep(sweep).print()
+def cell_d() -> CellResult:
+    """Fig 14d; the document places its table right after ``cell``'s."""
+    result = run_device_latency_sweep()
+    return CellResult(
+        sections=[markdown_block(render_sweep(result).render())],
+        rows=result.rows,
+    )

@@ -104,9 +104,3 @@ def cell() -> CellResult:
         rows=result.rows,
         metrics={"random_speedups": {k: float(v) for k, v in speedups.items()}},
     )
-
-
-if __name__ == "__main__":
-    outcome = run()
-    render(outcome).print()
-    print("\nFlatFlash random-access speedup:", summarize_speedups(outcome))

@@ -48,6 +48,7 @@ def run_fig9a(
                 gups=outcome.gups,
                 mean_update_ns=round(outcome.mean_update_ns, 1),
                 page_movements=outcome.page_movements,
+                flash_programs=system.ssd.flash.total_programs,
             )
     return result
 
@@ -173,8 +174,3 @@ def cell_b() -> CellResult:
             ),
         },
     )
-
-
-if __name__ == "__main__":
-    render_fig9a(run_fig9a()).print()
-    render_fig9b(run_fig9b()).print()

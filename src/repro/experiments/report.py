@@ -56,9 +56,5 @@ class Table:
             )
         return "\n".join(lines)
 
-    def print(self) -> None:  # noqa: A003 - mirrors the builtin deliberately
-        print()
-        print(self.render())
-
     def __str__(self) -> str:
         return self.render()

@@ -1,8 +1,9 @@
 """Reproduction scorecard: every headline claim, checked programmatically.
 
-The abstract of the paper makes five quantitative claims.  This module
-re-measures each one and renders a verdict table — the one-page answer to
-"did the reproduction work?".
+The abstract of the paper makes five quantitative claims.  Each one is
+read from the figure cell that already measures it, so the scorecard
+prints the same number as that figure, and renders a verdict table — the
+one-page answer to "did the reproduction work?".
 
 A claim REPRODUCES when the measured factor moves in the paper's direction
 and reaches at least the stated fraction of the paper's magnitude
@@ -13,9 +14,9 @@ shapes must hold, absolute factors only roughly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, List, Mapping
 
-from repro.experiments import fig9, fig11_12, fig13, fig14, table3
+from repro.experiments import fig11_12, table1
 from repro.experiments.common import ExperimentResult
 from repro.experiments.report import Table
 from repro.sweep.model import CellResult, markdown_block
@@ -23,92 +24,73 @@ from repro.sweep.model import CellResult, markdown_block
 
 @dataclass
 class Claim:
-    """One abstract claim and how to measure it.
+    """One abstract claim and the figure cell that measures it.
 
-    ``key`` is the short stable identifier sweep cells are named by;
+    ``key`` is the short stable identifier of the claim;
     ``paper_low`` is the weakest instance the paper reports for this claim
     (its evaluation quotes ranges, the abstract quotes the best case);
-    ``paper_high`` is the headline "up to" factor.
+    ``paper_high`` is the headline "up to" factor.  ``factor`` computes
+    the measured factor from the rows of ``cell``.
     """
 
     key: str
     text: str
     paper_low: float
     paper_high: float
-    measure: Callable[[], float]
+    cell: str
+    factor: Callable[[ExperimentResult], float]
 
 
-def _memory_intensive() -> float:
-    """'improves ... memory-intensive applications by up to 2.3x'."""
-    result = fig9.run_fig9a(ratios=[512], dram_pages=32, num_updates=6_000)
-    unified = result.filtered(system="UnifiedMMap")[0]["mean_update_ns"]
-    flat = result.filtered(system="FlatFlash")[0]["mean_update_ns"]
-    return unified / flat
+def _gups_at_512(result: ExperimentResult) -> float:
+    """'improves ... memory-intensive applications by up to 2.3x':
+    Table 1's GUPS row, Fig 9a at SSD:DRAM 512."""
+    return table1.improvement(result.rows, "GUPS")[0]
 
 
-def _tail_latency() -> float:
-    """'reduces the tail latency ... by up to 2.8x'."""
-    result = fig11_12.run(
-        workload_names=["YCSB-B"], ws_ratios=[8, 16], dram_pages=24, num_ops=5_000
-    )
+def _best_tail_reduction(result: ExperimentResult) -> float:
+    """'reduces the tail latency ... by up to 2.8x': Fig 11's best p99
+    reduction against UnifiedMMap."""
     return fig11_12.tail_latency_reduction(result, "UnifiedMMap")
 
 
-def _database_throughput() -> float:
-    """'scales the throughput for transactional database by up to 3.0x'."""
-    result = fig14.run_threads(
-        workload_names=["TPCB"], thread_counts=[16], transactions_per_thread=50
-    )
-    flat = result.filtered(system="FlatFlash")[0]["throughput_tps"]
-    unified = result.filtered(system="UnifiedMMap")[0]["throughput_tps"]
-    return flat / unified
+def _tpcb_at_16_threads(result: ExperimentResult) -> float:
+    """'scales the throughput for transactional database by up to 3.0x':
+    Table 1's TPCB row, Fig 14 at 16 threads."""
+    return table1.improvement(result.rows, "TPCB")[0]
 
 
-def _metadata_persistence() -> float:
-    """'decreases the meta-data persistence overhead ... by up to 18.9x'."""
-    result = fig13.run(ops_per_workload=80)
-    return max(row["speedup"] for row in result.rows)
+def _best_metadata_speedup(result: ExperimentResult) -> float:
+    """'decreases the meta-data persistence overhead ... by up to 18.9x':
+    Fig 13's best speedup."""
+    return max(result.column("speedup"))
 
 
-def _cost_effectiveness() -> float:
-    """'improves the cost-effectiveness by up to 3.8x vs DRAM-only'."""
-    result = table3.run()
-    return max(row["cost_effectiveness"] for row in result.rows)
+def _best_cost_effectiveness(result: ExperimentResult) -> float:
+    """'improves the cost-effectiveness by up to 3.8x vs DRAM-only':
+    Table 3's best cost-effectiveness."""
+    return max(result.column("cost_effectiveness"))
 
 
 CLAIMS: List[Claim] = [
-    Claim("gups", "memory-intensive apps up to 2.3x (GUPS)", 1.1, 2.3, _memory_intensive),
-    Claim("tail", "tail latency down up to 2.8x (YCSB p99)", 2.0, 2.8, _tail_latency),
-    Claim("oltp", "database throughput up to 3.0x (TPCB, 16 threads)", 1.1, 3.0, _database_throughput),
-    Claim("metadata", "metadata persistence up to 18.9x (file systems)", 2.6, 18.9, _metadata_persistence),
-    Claim("cost", "cost-effectiveness up to 3.8x (vs DRAM-only)", 1.3, 3.8, _cost_effectiveness),
+    Claim("gups", "memory-intensive apps up to 2.3x (GUPS)", 1.1, 2.3, "fig9a", _gups_at_512),
+    Claim("tail", "tail latency down up to 2.8x (YCSB p99)", 2.0, 2.8, "fig11_12", _best_tail_reduction),
+    Claim("oltp", "database throughput up to 3.0x (TPCB, 16 threads)", 1.1, 3.0, "fig14", _tpcb_at_16_threads),
+    Claim("metadata", "metadata persistence up to 18.9x (file systems)", 2.6, 18.9, "fig13", _best_metadata_speedup),
+    Claim("cost", "cost-effectiveness up to 3.8x (vs DRAM-only)", 1.3, 3.8, "table3", _best_cost_effectiveness),
 ]
 
 
-def claim_by_key(key: str) -> Claim:
-    for claim in CLAIMS:
-        if claim.key == key:
-            return claim
-    raise KeyError(f"unknown claim {key!r}; choose from {[c.key for c in CLAIMS]}")
-
-
-def run(measured: Optional[Mapping[str, float]] = None) -> ExperimentResult:
-    """Measure every claim.  Verdicts:
+def run(measured: Mapping[str, float]) -> ExperimentResult:
+    """Grade the measured factor of every claim, by claim key.  Verdicts:
 
     * ``STRONG``     — measured reaches half the paper's best case,
     * ``REPRODUCES`` — measured lands inside the paper's reported range,
     * ``PARTIAL``    — the direction holds (>1x) but under the range,
     * ``FAILS``      — no improvement measured.
-
-    ``measured`` optionally supplies pre-computed factors by claim key
-    (the sweep engine measures the claims in parallel cells and feeds
-    them here); missing claims are measured inline.
     """
     result = ExperimentResult("Scorecard", "headline claims, measured")
     for claim in CLAIMS:
-        factor = None if measured is None else measured.get(claim.key)
-        if factor is None:
-            factor = claim.measure()
+        factor = measured[claim.key]
         if factor >= claim.paper_high / 2 and factor >= claim.paper_low:
             verdict = "STRONG"
         elif factor >= claim.paper_low:
@@ -138,7 +120,7 @@ def render(result: ExperimentResult) -> Table:
     return table
 
 
-# --------------------------------------------------------------- sweep cells
+# --------------------------------------------------------------- sweep cell
 
 SECTION = (
     "## Scorecard — the abstract's claims at a glance\n",
@@ -148,22 +130,14 @@ SECTION = (
 )
 
 
-def claim_cell(claim: str) -> CellResult:
-    """Measure one abstract claim (a data-only cell feeding ``cell``)."""
-    spec = claim_by_key(claim)
-    factor = spec.measure()
-    return CellResult(
-        rows=[{"claim": claim, "measured": factor}],
-        metrics={"claim": claim, "measured": float(factor)},
-    )
-
-
-def cell(deps) -> CellResult:
-    """Assign verdicts from the five claim cells and render the table."""
-    measured = {}
-    for dep in deps.values():
-        row = dep.rows[0]
-        measured[row["claim"]] = row["measured"]
+def cell(deps: Mapping[str, CellResult]) -> CellResult:
+    """Read each claim from its figure cell's rows and grade it."""
+    measured = {
+        claim.key: claim.factor(
+            ExperimentResult(claim.cell, "committed sweep cell", deps[claim.cell].rows)
+        )
+        for claim in CLAIMS
+    }
     result = run(measured)
     return CellResult(
         sections=[*SECTION, markdown_block(render(result).render())],
@@ -173,7 +147,3 @@ def cell(deps) -> CellResult:
             "measured": {row["claim"]: float(row["measured"]) for row in result.rows},
         },
     )
-
-
-if __name__ == "__main__":
-    render(run()).print()

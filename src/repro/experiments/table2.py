@@ -86,7 +86,3 @@ def cell() -> CellResult:
         rows=result.rows,
         metrics={},
     )
-
-
-if __name__ == "__main__":
-    render(run()).print()

@@ -200,7 +200,3 @@ def cell() -> CellResult:
             ),
         },
     )
-
-
-if __name__ == "__main__":
-    render(run()).print()

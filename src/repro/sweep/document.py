@@ -61,6 +61,7 @@ DOCUMENT: Tuple[Part, ...] = (
     Ref("fig11_12"),
     Ref("fig13"),
     Ref("fig14"),
+    Ref("fig14d"),
     Ref("table1"),
     Ref("table3"),
     ABLATIONS_HEADER,

@@ -2,8 +2,8 @@
 
 ``run_sweep`` executes a (possibly filtered) set of registered cells.
 Cells with no unfinished dependencies run immediately; aggregate cells
-(Table 1, the scorecard) wait for their inputs and receive them as a
-``deps`` mapping.  With ``jobs > 1`` independent cells fan out across a
+(Table 1, the scorecard) wait for the figure cells they read and receive
+them as a ``deps`` mapping.  With ``jobs > 1`` independent cells fan out across a
 ``ProcessPoolExecutor``; the **spawn** start method is used deliberately
 so workers re-import everything under a fresh hash seed — any
 hash-order-dependent output would break the byte-identity the test suite

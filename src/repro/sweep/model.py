@@ -1,7 +1,7 @@
 """Data model of the sweep engine.
 
 A *cell* is one independently runnable unit of the paper reproduction —
-a figure, a table, one ablation, one scorecard claim measurement.  Its
+a figure, a table, one ablation, one fault-campaign scenario.  Its
 execution produces a :class:`CellResult`: the markdown fragments the cell
 contributes to EXPERIMENTS.md (possibly none, for pure data-producer
 cells), the structured result rows, and a small dict of headline metrics
@@ -25,8 +25,8 @@ class CellResult:
 
     ``sections`` are the markdown fragments this cell contributes to the
     experiment document, in order (the document assembler joins all
-    fragments with a single newline).  Data-only cells (scorecard claims,
-    Table 1 pairs) leave it empty.
+    fragments with a single newline).  Data-only cells (the fault-campaign
+    scenarios) leave it empty.
     """
 
     sections: List[str] = field(default_factory=list)

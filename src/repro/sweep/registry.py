@@ -8,10 +8,10 @@ passes them as a ``deps`` mapping when the function declares that
 parameter).
 
 :func:`default_registry` builds the full paper sweep: every §5 figure and
-table, the ablations, the extensions, Table 1's ten benchmark pairs, and
-the scorecard's five claim measurements — the latter two families feeding
-aggregate cells through real dependency edges, so Table 1 and the
-scorecard wait on their inputs while everything else fans out.
+table, the ablations and the extensions.  Table 1 and the scorecard
+measure nothing themselves: they are aggregate cells whose deps are the
+figure cells that measure their numbers, so they wait on those cells
+while everything else fans out.
 """
 
 from __future__ import annotations
@@ -143,18 +143,23 @@ class Registry:
             stack.extend(self._cells[name].deps)
         return [name for name in self._cells if name in wanted]
 
-    def select(self, patterns: Optional[Iterable[str]]) -> List[str]:
-        """Cells matching any glob pattern, expanded to their dep closure."""
-        if not patterns:
-            return self.names()
+    def matching(self, patterns: Iterable[str]) -> List[str]:
+        """Cells matching any glob pattern, in registration order."""
+        patterns = list(patterns)
         matched = [
             name
             for name in self._cells
             if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns)
         ]
         if not matched:
-            raise ValueError(f"no cells match filter(s) {list(patterns)!r}")
-        return self.closure(matched)
+            raise ValueError(f"no cells match filter(s) {patterns!r}")
+        return matched
+
+    def select(self, patterns: Optional[Iterable[str]]) -> List[str]:
+        """Cells matching any glob pattern, expanded to their dep closure."""
+        if not patterns:
+            return self.names()
+        return self.closure(self.matching(patterns))
 
 
 #: Public ``run*`` functions in ``repro.experiments`` that are deliberately
@@ -215,23 +220,6 @@ def default_registry() -> Registry:
 
     registry = Registry()
 
-    # Scorecard: five claim measurements fan out, the verdict table waits.
-    claim_cells = []
-    for claim in scorecard.CLAIMS:
-        name = f"scorecard:{claim.key}"
-        claim_cells.append(name)
-        registry.register(
-            Cell(name, scorecard.claim_cell, params={"claim": claim.key})
-        )
-    registry.register(
-        Cell(
-            "scorecard",
-            scorecard.cell,
-            deps=tuple(claim_cells),
-            covers=("repro.experiments.scorecard:run",),
-        )
-    )
-
     registry.register(
         Cell("table2", table2.cell, covers=("repro.experiments.table2:run",))
     )
@@ -255,35 +243,36 @@ def default_registry() -> Registry:
     )
     registry.register(Cell("fig13", fig13.cell, covers=("repro.experiments.fig13:run",)))
     registry.register(
-        Cell(
-            "fig14",
-            fig14.cell,
-            covers=(
-                "repro.experiments.fig14:run_threads",
-                "repro.experiments.fig14:run_device_latency_sweep",
-            ),
-        )
+        Cell("fig14", fig14.cell, covers=("repro.experiments.fig14:run_threads",))
     )
-
-    # Table 1: ten benchmark pairs fan out, the summary table waits.
-    pair_cells = []
-    for benchmark in table1.BENCHMARKS:
-        name = f"table1:{benchmark.lower()}"
-        pair_cells.append(name)
-        registry.register(
-            Cell(name, table1.pair_cell, params={"benchmark": benchmark})
-        )
     registry.register(
         Cell(
-            "table1",
-            table1.cell,
-            deps=tuple(pair_cells),
-            covers=("repro.experiments.table1:run",),
+            "fig14d",
+            fig14.cell_d,
+            covers=("repro.experiments.fig14:run_device_latency_sweep",),
         )
     )
 
     registry.register(
         Cell("table3", table3.cell, covers=("repro.experiments.table3:run",))
+    )
+
+    # The two aggregates wait on the cells whose rows they read.
+    registry.register(
+        Cell(
+            "table1",
+            table1.cell,
+            deps=tuple(dict.fromkeys(cell for cell, _, _ in table1.SOURCES.values())),
+            covers=("repro.experiments.table1:run",),
+        )
+    )
+    registry.register(
+        Cell(
+            "scorecard",
+            scorecard.cell,
+            deps=tuple(dict.fromkeys(claim.cell for claim in scorecard.CLAIMS)),
+            covers=("repro.experiments.scorecard:run",),
+        )
     )
 
     for suffix, fn, runner in (

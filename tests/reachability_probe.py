@@ -1,9 +1,10 @@
 """Which functions under ``src/repro`` does no entry point reach?
 
-Runs the full sweep (jobs=1, no cache), ``repro race --seeds 1``, ``repro
-faults --smoke``, ``repro analyze src/`` and every script in ``examples/``
-in one process under cProfile, inside a temporary directory, then prints
-each function that never ran, per module, with its line count.  The
+Runs the full sweep (jobs=1, no cache), ``repro run table2``, ``repro race
+--seeds 1``, ``repro faults --smoke``, ``repro analyze src/`` and every
+script in ``examples/`` in one process under cProfile, inside a temporary
+directory, then prints each function that never ran, per module, with its
+line count.  The
 sanitizers and the race recorder run under the test suite by design, so
 their modules are skipped.  An audit, not a gate (pytest does not collect
 it); takes about 4 minutes: ``PYTHONPATH=src python tests/reachability_probe.py``
@@ -43,6 +44,7 @@ def run_entry_points():
     from repro.__main__ import main
 
     main(["sweep", "--jobs", "1", "--no-cache", "--quiet", "EXPERIMENTS.md"])
+    main(["run", "table2"])
     main(["race", "--seeds", "1"])
     main(["faults", "--smoke"])
     main(["analyze", str(PACKAGE.parent)])

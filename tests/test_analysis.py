@@ -1,11 +1,10 @@
-"""Tests for the table helpers: Table 3's cost model, Table 1's flash
-program count and the shared text table."""
+"""Tests for the table helpers: Table 3's cost model, the flash program
+count behind Table 1's lifetime column and the shared text table."""
 
 import pytest
 
 from repro import FlatFlash, small_config
 from repro.experiments.report import Table
-from repro.experiments.table1 import flash_programs
 from repro.experiments.table3 import DollarCostModel
 
 
@@ -32,7 +31,7 @@ class TestLifetime:
         region = system.mmap(4)
         system.store(region.addr(0), 8)
         system.ssd.gc.flush_dirty()
-        assert flash_programs(system) >= 4  # mapping programs + destage
+        assert system.ssd.flash.total_programs >= 4  # mapping programs + destage
 
 
 class TestReport:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.experiments import ablations
 
 
 def test_list_prints_experiments(capsys):
@@ -10,12 +11,7 @@ def test_list_prints_experiments(capsys):
     out = capsys.readouterr().out.split()
     assert "fig8" in out
     assert "table2" in out
-    assert "ablations" in out
-
-
-def test_every_listed_experiment_is_callable():
-    for name, runner in EXPERIMENTS.items():
-        assert callable(runner), name
+    assert "ablations:plb" in out
 
 
 def test_run_table2(capsys):
@@ -28,6 +24,13 @@ def test_run_table2(capsys):
 def test_run_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["run", "fig99"])
+
+
+def test_run_glob_prints_the_cell_section(capsys):
+    assert main(["run", "ablations:plb"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("```\n")  # the ablation's table, no document prose
+    assert out == "\n".join(ablations.cell_plb().sections)
 
 
 def test_missing_command_rejected():

@@ -158,16 +158,10 @@ def test_fig14abc_throughput_scaling(serial_report):
 
 
 def test_fig14d_device_latency_sweep(serial_report):
-    """Fig 14d's rows are not in the cell's ``rows``; read its table."""
-    (block,) = [
-        section
-        for section in serial_report.results["fig14"].sections
-        if section.startswith("```\nFigure 14d")
-    ]
-    tps = {}
-    for line in block.splitlines()[4:-1]:  # past fence, title, header, rule
-        latency, system, throughput = (cell.strip() for cell in line.split("|"))
-        tps[(int(latency), system)] = float(throughput.replace(",", ""))
+    tps = {
+        (row["device_latency_us"], row["system"]): row["throughput_tps"]
+        for row in serial_report.results["fig14d"].rows
+    }
     # FlatFlash's advantage grows as the device gets faster: its commit
     # path is PCIe-bound, not flash-bound.
     ratios = [
@@ -316,6 +310,25 @@ def test_scorecard_no_failures(serial_report):
         assert row["verdict"] != "PARTIAL", row["claim"]
         assert row["measured"] > 1.0
     assert sum(1 for row in rows if row["verdict"] == "STRONG") >= 2
+
+
+def test_each_claim_prints_one_number(serial_report):
+    """A claim's factor is the number its figure, and Table 1, print."""
+    by_text = _by(_cell(serial_report, "scorecard").rows, "claim")
+    measured = {claim.key: by_text[claim.text]["measured"] for claim in scorecard.CLAIMS}
+    table1_perf = {
+        row["benchmark"]: row["measured_perf"] for row in _cell(serial_report, "table1").rows
+    }
+    at_512 = _by(_cell(serial_report, "fig9a").filtered(ratio=512), "system")
+    gups = at_512["UnifiedMMap"]["mean_update_ns"] / at_512["FlatFlash"]["mean_update_ns"]
+    assert measured["gups"] == table1_perf["GUPS"] == round(gups, 2)
+    tpcb = fig14.max_scaling(_cell(serial_report, "fig14"), "UnifiedMMap")["TPCB"]
+    assert measured["oltp"] == table1_perf["TPCB"] == tpcb
+    fig11_12_metrics = serial_report.results["fig11_12"].metrics
+    assert measured["tail"] == fig11_12_metrics["p99_reduction_vs_unifiedmmap"]
+    assert measured["metadata"] == max(_cell(serial_report, "fig13").column("speedup"))
+    table3_metrics = serial_report.results["table3"].metrics
+    assert measured["cost"] == table3_metrics["max_cost_effectiveness"]
 
 
 @pytest.mark.parametrize(

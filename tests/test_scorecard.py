@@ -1,4 +1,4 @@
-"""Tests for the reproduction scorecard (verdict logic mocked-fast)."""
+"""Tests for the reproduction scorecard's verdict logic, on given factors."""
 
 
 from repro.experiments import scorecard
@@ -15,17 +15,12 @@ def test_claim_ranges_are_sane():
         assert 1.0 <= claim.paper_low <= claim.paper_high
 
 
-def _with_fake_measures(monkeypatch, values):
-    fakes = [
-        scorecard.Claim(
-            claim.key, claim.text, claim.paper_low, claim.paper_high, lambda v=v: v
-        )
-        for claim, v in zip(scorecard.CLAIMS, values)
-    ]
-    monkeypatch.setattr(scorecard, "CLAIMS", fakes)
+def _measured(values):
+    """Claim key -> factor, in CLAIMS order."""
+    return {claim.key: value for claim, value in zip(scorecard.CLAIMS, values)}
 
 
-def test_verdict_tiers(monkeypatch):
+def test_verdict_tiers():
     # One value per tier.  Claim 2 (database, 1.1-3.0x) has its range
     # bottom below half its best, so a bottom-of-range value demonstrates
     # plain REPRODUCES; narrow ranges (tail latency) jump straight to
@@ -40,8 +35,7 @@ def test_verdict_tiers(monkeypatch):
         0.9,                 # FAILS
     ]
     assert lows[2] < highs[2] / 2  # precondition for the REPRODUCES tier
-    _with_fake_measures(monkeypatch, values)
-    result = scorecard.run()
+    result = scorecard.run(_measured(values))
     verdicts = [row["verdict"] for row in result.rows]
     assert verdicts[0] == "STRONG"
     assert verdicts[1] == "STRONG"
@@ -50,20 +44,17 @@ def test_verdict_tiers(monkeypatch):
     assert verdicts[4] == "FAILS"
 
 
-def test_render_includes_ranges(monkeypatch):
-    _with_fake_measures(monkeypatch, [2.0] * len(scorecard.CLAIMS))
-    table = scorecard.render(scorecard.run())
+def test_render_includes_ranges():
+    table = scorecard.render(scorecard.run(_measured([2.0] * len(scorecard.CLAIMS))))
     rendered = table.render()
     assert "Paper range" in rendered
     assert "2.0x" in rendered
 
 
-def test_strong_requires_half_of_best(monkeypatch):
+def test_strong_requires_half_of_best():
     claim = scorecard.CLAIMS[0]
     just_below = claim.paper_high / 2 - 0.01
-    _with_fake_measures(
-        monkeypatch,
-        [just_below] + [c.paper_low for c in scorecard.CLAIMS[1:]],
+    result = scorecard.run(
+        _measured([just_below] + [c.paper_low for c in scorecard.CLAIMS[1:]])
     )
-    result = scorecard.run()
     assert result.rows[0]["verdict"] == "REPRODUCES"  # not STRONG
